@@ -79,7 +79,7 @@ def load_certificate(path: str) -> PeelCertificate:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc.msg}") from exc
+            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     return certificate_from_dict(data)
 
 

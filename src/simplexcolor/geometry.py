@@ -1,9 +1,13 @@
 """Exact geometric predicates over rational coordinates.
 
-Everything in this module computes with arbitrary-precision rationals
-(`fractions.Fraction`), so each predicate returns an exact answer: there
-are no epsilons, and results are invariant under uniform positive rational
-scaling of the input coordinates.
+Coordinates are arbitrary-precision rationals (`fractions.Fraction`), and
+every predicate returns an exact answer: there are no epsilons and no
+floats, and results are invariant under uniform positive rational scaling
+of the input coordinates.  The determinant kernel behind `det` and
+`orientation` runs on Python `int`: it scales the few points or rows it is
+given by the LCM of their own denominators (never one LCM over a whole
+vertex table) and then runs Bareiss's fraction-free elimination, whose
+divisions are all exact.
 
 The hull-membership test (`supporting_hyperplane`) never builds a convex
 hull.  It decides, by exact linear feasibility, whether a hyperplane exists
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -92,26 +96,44 @@ def _sub(p: Point, q: Point) -> Vec:
     return tuple(a - b for a, b in zip(p.coords, q.coords))
 
 
+def clear_denominators(rows) -> tuple[int, list[list[int]]]:
+    """Scale rows of rationals by the LCM of their denominators.
+
+    Returns (scale, int_rows) with int_rows[i][k] == rows[i][k] * scale
+    exactly; scale >= 1, so signs and order are preserved.
+    """
+    rows = list(rows)
+    scale = lcm(*(x.denominator for r in rows for x in r))
+    return scale, [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square int matrix (consumed) by Bareiss's
+    fraction-free elimination: every division below is exact."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        row_k = m[k]
+        pivot = row_k[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * row_k[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
+
 def det(rows: list[Vec]) -> Fraction:
-    """Exact determinant by fraction-free style Gaussian elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result
+    """Exact determinant: clear the denominators with one LCM, then run
+    Bareiss elimination over int."""
+    scale, m = clear_denominators(rows)
+    return Fraction(_bareiss(m), scale ** len(m))
 
 
 def orientation(points: list[Point], dim: int) -> int:
@@ -124,8 +146,13 @@ def orientation(points: list[Point], dim: int) -> int:
     for p in points:
         if p.dim != dim:
             raise InputError(f"point of dimension {p.dim} in orientation of dimension {dim}")
-    base = points[0]
-    return _sign(det([_sub(p, base) for p in points[1:]]))
+    return int_orientation(clear_denominators(p.coords for p in points)[1])
+
+
+def int_orientation(pts: list[list[int]]) -> int:
+    """`orientation` for points already given in integer coordinates."""
+    base = pts[0]
+    return _sign(_bareiss([[a - b for a, b in zip(p, base)] for p in pts[1:]]))
 
 
 def side_of(h: Hyperplane, p: Point) -> int:
@@ -247,13 +274,8 @@ def _cone_nonzero(zs: list[Vec], m: int):
 
 def _canonical(normal: list[Fraction], offset: Fraction) -> Hyperplane:
     """Scale to a primitive integer normal, preserving orientation."""
-    scale = 1
-    for c in list(normal) + [offset]:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in normal] + [int(offset * scale)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = clear_denominators([list(normal) + [offset]])[1][0]
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     return Hyperplane(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
 

@@ -12,9 +12,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import lt, mul
 
 from .errors import InputError
-from .geometry import Point, orientation, rational
+from .geometry import Point, clear_denominators, int_orientation, orientation, rational
 
 JSON_FORMAT = "json"
 OFF_FORMAT = "off"
@@ -132,10 +134,16 @@ def facet_multiplicity(c: Complex) -> dict[Facet, int]:
     return mult
 
 
-def _bbox(pts: list[Point]):
-    lo = tuple(min(p[i] for p in pts) for i in range(pts[0].dim))
-    hi = tuple(max(p[i] for p in pts) for i in range(pts[0].dim))
-    return lo, hi
+def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
+    """Each vertex's coordinates replaced by their rank among the distinct
+    values on that axis.  The map is order-preserving per axis, so box
+    comparisons on ranks decide exactly as they would on the rationals."""
+    columns = []
+    for k in range(c.dimension):
+        values = [p.coords[k] for p in c.vertices]
+        rank = {v: r for r, v in enumerate(sorted(set(values)))}
+        columns.append([rank[v] for v in values])
+    return list(zip(*columns))
 
 
 def _cross3(a, b):
@@ -146,47 +154,85 @@ def _cross3(a, b):
     )
 
 
-def _separating_axes(pts_a: list[Point], pts_b: list[Point], d: int):
-    """Candidate separating directions for two simplices (SAT)."""
-    axes = []
+def _sat_axes(a, b, d: int):
+    """Candidate separating directions for two simplices (SAT), generated
+    lazily: facet normals of both, then in 3D the edge-edge cross products."""
     if d == 1:
-        axes.append((Fraction(1),))
-        return axes
-    for pts in (pts_a, pts_b):
+        yield (1,)
+        return
+    for pts in (a, b):
         if d == 2:
             for i in range(3):
-                p, q = pts[i], pts[(i + 1) % 3]
-                axes.append((q[1] - p[1], p[0] - q[0]))
+                p, q = pts[i - 1], pts[i]
+                yield (q[1] - p[1], p[0] - q[0])
         else:
             for skip in range(4):
-                tri = [pts[k] for k in range(4) if k != skip]
-                u = tuple(tri[1][i] - tri[0][i] for i in range(3))
-                v = tuple(tri[2][i] - tri[0][i] for i in range(3))
-                axes.append(_cross3(u, v))
+                p, q, r = (pts[k] for k in range(4) if k != skip)
+                yield _cross3([x - y for x, y in zip(q, p)], [x - y for x, y in zip(r, p)])
     if d == 3:
-        edges_a = [
-            tuple(q[i] - p[i] for i in range(3))
-            for p, q in combinations(pts_a, 2)
-        ]
-        edges_b = [
-            tuple(q[i] - p[i] for i in range(3))
-            for p, q in combinations(pts_b, 2)
-        ]
-        for ea in edges_a:
+        edges_b = [[x - y for x, y in zip(q, p)] for p, q in combinations(b, 2)]
+        for p, q in combinations(a, 2):
+            ea = [x - y for x, y in zip(q, p)]
             for eb in edges_b:
-                axes.append(_cross3(ea, eb))
-    return [a for a in axes if any(a)]
+                yield _cross3(ea, eb)
 
 
-def _interiors_overlap(pts_a: list[Point], pts_b: list[Point], d: int) -> bool:
-    """Exact SAT: convex simplices have disjoint interiors iff some axis
-    separates them in the closed sense (touching allowed)."""
-    for axis in _separating_axes(pts_a, pts_b, d):
-        proj_a = [sum(axis[i] * p[i] for i in range(d)) for p in pts_a]
-        proj_b = [sum(axis[i] * p[i] for i in range(d)) for p in pts_b]
+def _interiors_overlap(ids_a, a, ids_b, b, d: int) -> bool:
+    """Exact overlap test of two non-degenerate simplices in integer
+    coordinates of one common scale.
+
+    Glued pairs (d shared ids) overlap exactly when the two opposite
+    vertices lie strictly on the same side of the shared facet.  Other pairs
+    run SAT: convex simplices have disjoint interiors iff some axis
+    separates them in the closed sense (touching allowed).
+    """
+    shared = [k for k, v in enumerate(ids_a) if v in ids_b]
+    if len(shared) == d:
+        facet = [a[k] for k in shared]
+        apex_a = next(a[k] for k, v in enumerate(ids_a) if v not in ids_b)
+        apex_b = next(b[k] for k, v in enumerate(ids_b) if v not in ids_a)
+        return int_orientation(facet + [apex_a]) == int_orientation(facet + [apex_b])
+    for axis in _sat_axes(a, b, d):
+        if not any(axis):
+            continue
+        proj_a = [sum(map(mul, axis, p)) for p in a]
+        proj_b = [sum(map(mul, axis, p)) for p in b]
         if max(proj_a) <= min(proj_b) or max(proj_b) <= min(proj_a):
             return False
     return True
+
+
+def _overlapping_pairs(c: Complex, live: list[int]):
+    """Pairs (i, j), i < j, of live simplices with overlapping interiors.
+
+    Broad phase: an x-sweep over bounding boxes in axis ranks.  Narrow
+    phase: each simplex gets integer coordinates once, scaled by the LCM of
+    its own denominators; a pair with different scales is rescaled to the
+    LCM of the two.
+    """
+    d = c.dimension
+    ranks = _axis_ranks(c)
+    boxes = []
+    for i in live:
+        corners = [ranks[v] for v in c.simplices[i].vertex_ids]
+        boxes.append((tuple(map(min, *corners)), tuple(map(max, *corners)), i))
+    boxes.sort(key=lambda entry: entry[0])
+    scaled = {i: clear_denominators(p.coords for p in c.simplex_points(i)) for i in live}
+    for a, (lo_i, hi_i, i) in enumerate(boxes):
+        for b in range(a + 1, len(boxes)):
+            lo_j, hi_j, j = boxes[b]
+            if lo_j[0] >= hi_i[0]:
+                break
+            if not (all(map(lt, lo_j, hi_i)) and all(map(lt, lo_i, hi_j))):
+                continue
+            (s_i, pts_i), (s_j, pts_j) = scaled[i], scaled[j]
+            if s_i != s_j:
+                common = lcm(s_i, s_j)
+                pts_i = [[x * (common // s_i) for x in p] for p in pts_i]
+                pts_j = [[x * (common // s_j) for x in p] for p in pts_j]
+            ids_i, ids_j = c.simplices[i].vertex_ids, c.simplices[j].vertex_ids
+            if _interiors_overlap(ids_i, pts_i, ids_j, pts_j, d):
+                yield min(i, j), max(i, j)
 
 
 def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
@@ -223,10 +269,10 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
         else:
             coords_seen[p.coords] = i
 
-    degenerate = []
+    degenerate = set()
     for i in range(len(c.simplices)):
         if orientation(c.simplex_points(i), d) == 0:
-            degenerate.append(i)
+            degenerate.add(i)
             issues.append(Issue("degenerate-simplex", f"simplex {i} is affinely degenerate", (i,)))
 
     owners: dict[Facet, list[int]] = {}
@@ -245,28 +291,13 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
         if d > 3:
             notes.append(f"interior-overlap check skipped for dimension {d} (supported up to 3)")
         else:
-            boxes = []
-            for i in range(len(c.simplices)):
-                if i in degenerate:
-                    continue
-                pts = c.simplex_points(i)
-                boxes.append((i, pts, *_bbox(pts)))
-            boxes.sort(key=lambda entry: entry[2])
-            for a in range(len(boxes)):
-                i, pts_i, lo_i, hi_i = boxes[a]
-                for b in range(a + 1, len(boxes)):
-                    j, pts_j, lo_j, hi_j = boxes[b]
-                    if lo_j[0] >= hi_i[0]:
-                        break
-                    if any(lo_j[k] >= hi_i[k] or lo_i[k] >= hi_j[k] for k in range(d)):
-                        continue
-                    if _interiors_overlap(pts_i, pts_j, d):
-                        pair = (min(i, j), max(i, j))
-                        issues.append(
-                            Issue("interior-overlap",
-                                  f"simplices {pair[0]} and {pair[1]} have overlapping interiors",
-                                  pair)
-                        )
+            live = [i for i in range(len(c.simplices)) if i not in degenerate]
+            for pair in _overlapping_pairs(c, live):
+                issues.append(
+                    Issue("interior-overlap",
+                          f"simplices {pair[0]} and {pair[1]} have overlapping interiors",
+                          pair)
+                )
 
     return ValidationReport(level, tuple(issues), tuple(notes))
 

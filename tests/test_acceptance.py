@@ -1,8 +1,8 @@
 """Acceptance suite.
 
-One test per acceptance criterion, each printing a PASS line with the
-measured numbers (run with `pytest -s tests/test_acceptance.py` to see
-them).  Tolerances are exact wherever rational arithmetic decides, and the
+One test per acceptance criterion, plus strict validation of the larger
+planar instances, each printing a PASS line with the measured numbers
+(run with `pytest -s tests/test_acceptance.py` to see them).  Tolerances are exact wherever rational arithmetic decides, and the
 only timing budget is 10 seconds for the color pipeline on a ten-thousand
 simplex instance.
 """
@@ -42,12 +42,14 @@ from simplexcolor.generators import (
 )
 from simplexcolor.geometry import point
 from simplexcolor.model import (
+    GEOMETRIC_STRICT,
     Complex,
     Simplex,
     complex_to_dict,
     facet_multiplicity,
     load,
     save,
+    validate,
 )
 from simplexcolor.render import RenderOptions, render_svg
 from simplexcolor.coloring import verify_coloring
@@ -185,6 +187,26 @@ def test_criterion_2_geometric_finder_agreement(corpus):
     print(f"PASS criterion 2: {len(small)} instances, {steps_checked} geometric "
           f"peel steps, all traces strictly decreasing, all witnesses exposed "
           f"({deep_traces} steps required hull descent)")
+
+
+def test_strict_validation_of_large_planar_instances(corpus):
+    """The corpus's larger planar instances pass geometric-strict
+    validation: no degenerate simplex and no interior overlap."""
+    labels = (
+        "tri-tiling-d2-s71-seed0",
+        "freudenthal-d2-s71-seed0",
+        "path-d2-s10000-seed0",
+        "delaunay2d-d2-s1000-seed48",
+    )
+    by_label = {label: c for label, _kind, _d, c in corpus}
+    times = []
+    for label in labels:
+        c = by_label[label]
+        t0 = time.perf_counter()
+        report = validate(c, GEOMETRIC_STRICT)
+        times.append(f"{label} ({len(c.simplices)}) {time.perf_counter() - t0:.2f}s")
+        assert report.ok, (label, report.summary())
+    print("PASS strict validation: " + ", ".join(times))
 
 
 def test_criterion_3_no_forbidden_clique(corpus):

@@ -10,6 +10,7 @@ from simplexcolor.coloring import (
     certificate_from_dict,
     certificate_to_dict,
     color,
+    load_certificate,
     exact_chromatic,
     find_exposed_combinatorial,
     find_exposed_geometric,
@@ -262,6 +263,12 @@ class TestPeel:
     def test_certificate_json_round_trip(self):
         cert = peel(fan_k3())
         assert certificate_from_dict(certificate_to_dict(cert)) == cert
+
+    def test_certificate_json_syntax_error_positioned(self, tmp_path):
+        p = tmp_path / "cert.json"
+        p.write_text('{"method": "combinatorial",\n  "steps": [,]}')
+        with pytest.raises(InputError, match=r"cert\.json: invalid JSON at line 2 column 13: "):
+            load_certificate(str(p))
 
 
 class TestColor:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from simplexcolor.errors import InputError
 from simplexcolor.geometry import (
     Hyperplane,
     Point,
+    det,
     extreme_point,
     orientation,
     point,
@@ -80,6 +82,48 @@ class TestOrientation:
         )
         expect = 1 if inversions % 2 == 0 else -1
         assert orientation([pts[k] for k in perm], 2) == expect
+
+
+def cofactor_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+class TestDet:
+    def test_matches_cofactor_expansion(self):
+        rng = random.Random(11)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            rows = [
+                # many zeros force Bareiss to swap rows; some rows repeat
+                [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7, 10 ** 9 + 7)))
+                 if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if n >= 2 and rng.random() < 0.2:
+                rows[-1] = [x * Fraction(-2, 3) for x in rows[0]]
+            expected = cofactor_det(rows)
+            got = det([tuple(r) for r in rows])
+            assert isinstance(got, Fraction)
+            assert got == expected, rows
+            singular += expected == 0
+        assert singular >= 20
+
+    def test_integer_rows(self):
+        assert det([(2, 1), (1, 3)]) == 5
+        assert det([]) == 1
+
+    def test_orientation_of_rational_points(self):
+        third = Fraction(1, 3)
+        pts = [point(third, 0), point(1, Fraction(1, 7)), point(0, Fraction(5, 11))]
+        rows = [tuple(a - b for a, b in zip(p.coords, pts[0].coords)) for p in pts[1:]]
+        expected = cofactor_det([list(r) for r in rows])
+        assert orientation(pts, 2) == (expected > 0) - (expected < 0) != 0
 
 
 class TestSideOf:

@@ -1,10 +1,13 @@
 import json
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from simplexcolor.errors import InputError
+from simplexcolor.generators import GeneratorSpec, generate
 from simplexcolor.geometry import point
 from simplexcolor.model import (
     COMBINATORIAL,
@@ -320,3 +323,229 @@ class TestSerialization:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InputError):
             load(str(tmp_path / "x"), format="stl")
+
+
+# ---------------------------------------------------------------------------
+# Strict validation against an eager Fraction SAT oracle
+
+
+def _cross3(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def oracle_interiors_overlap(pts_a, pts_b, d):
+    """Eager Fraction SAT, independent of the library's integer kernel:
+    build every candidate axis (facet normals of both simplices, and in 3D
+    all edge-edge cross products), then look for one that separates the
+    two simplices in the closed sense."""
+    if d == 1:
+        axes = [(Fraction(1),)]
+    else:
+        axes = []
+        for pts in (pts_a, pts_b):
+            if d == 2:
+                for i in range(3):
+                    p, q = pts[i], pts[(i + 1) % 3]
+                    axes.append((q[1] - p[1], p[0] - q[0]))
+            else:
+                for skip in range(4):
+                    tri = [pts[k] for k in range(4) if k != skip]
+                    u = tuple(tri[1][i] - tri[0][i] for i in range(3))
+                    v = tuple(tri[2][i] - tri[0][i] for i in range(3))
+                    axes.append(_cross3(u, v))
+        if d == 3:
+            edges_a = [tuple(q[i] - p[i] for i in range(3)) for p, q in combinations(pts_a, 2)]
+            edges_b = [tuple(q[i] - p[i] for i in range(3)) for p, q in combinations(pts_b, 2)]
+            axes += [_cross3(ea, eb) for ea in edges_a for eb in edges_b]
+    for axis in axes:
+        if not any(axis):
+            continue
+        proj_a = [sum(axis[i] * p[i] for i in range(d)) for p in pts_a]
+        proj_b = [sum(axis[i] * p[i] for i in range(d)) for p in pts_b]
+        if max(proj_a) <= min(proj_b) or max(proj_b) <= min(proj_a):
+            return False
+    return True
+
+
+def cofactor_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def is_degenerate(pts):
+    base = pts[0]
+    return cofactor_det([[a - b for a, b in zip(p, base)] for p in pts[1:]]) == 0
+
+
+def overlap_pairs(report):
+    return [i.where for i in report.issues if i.code == "interior-overlap"]
+
+
+def oracle_pairs(c):
+    """Every overlapping pair of non-degenerate simplices, by the oracle,
+    with a Fraction x-interval prefilter."""
+    d = c.dimension
+    live = []
+    for i in range(len(c.simplices)):
+        pts = [p.coords for p in c.simplex_points(i)]
+        if not is_degenerate(pts):
+            live.append((min(p[0] for p in pts), max(p[0] for p in pts), i, pts))
+    live.sort()
+    found = set()
+    for a, (lo_i, hi_i, i, pts_i) in enumerate(live):
+        for lo_j, _hi_j, j, pts_j in live[a + 1:]:
+            if lo_j >= hi_i:
+                break
+            if oracle_interiors_overlap(pts_i, pts_j, d):
+                found.add((min(i, j), max(i, j)))
+    return found
+
+
+def random_coord(rng, rational):
+    if rational:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return Fraction(rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rational", [False, True])
+def test_strict_overlap_matches_fraction_sat_oracle(d, rational):
+    """Random simplex pairs sharing 0..d vertex ids, small integer or
+    rational coordinates: the strict report flags exactly the pairs the
+    oracle does.  Glued pairs (d shared ids) cover both apex placements."""
+    rng = random.Random(100 * d + rational)
+    by_shared = {k: [0, 0] for k in range(d + 1)}  # [disjoint, overlapping]
+    for _ in range(400):
+        shared = rng.randint(0, d)
+        verts = [tuple(random_coord(rng, rational) for _ in range(d))
+                 for _ in range(2 * (d + 1) - shared)]
+        ids_a = list(range(d + 1))
+        ids_b = rng.sample(ids_a, shared) + list(range(d + 1, len(verts)))
+        pts_a = [verts[v] for v in ids_a]
+        pts_b = [verts[v] for v in sorted(ids_b)]
+        if is_degenerate(pts_a) or is_degenerate(pts_b):
+            continue
+        c = Complex(d, tuple(point(*v) for v in verts),
+                    (Simplex(tuple(ids_a)), Simplex(tuple(sorted(ids_b)))))
+        expected = oracle_interiors_overlap(pts_a, pts_b, d)
+        assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
+        by_shared[shared][expected] += 1
+    for k, (disjoint, overlapping) in by_shared.items():
+        assert disjoint >= 5 and overlapping >= 5, (k, by_shared)
+
+
+def test_glued_pair_apex_sides():
+    # The shared edge (0,0)-(2,0); apexes on opposite sides, then on one side.
+    for apex_b, overlap in (((1, -1), False), ((5, 1), True), ((1, 1), True)):
+        verts = (point(0, 0), point(2, 0), point(1, 2), point(*apex_b))
+        c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((0, 1, 3))))
+        assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == overlap, apex_b
+    # Two tetrahedra glued on the face z = 0, apexes above and below / both above.
+    for apex_z, overlap in ((-1, False), (3, True)):
+        verts = (point(0, 0, 0), point(3, 0, 0), point(0, 3, 0), point(1, 1, 1),
+                 point(Fraction(1, 2), Fraction(1, 3), apex_z))
+        c = Complex(3, verts, (Simplex((0, 1, 2, 3)), Simplex((0, 1, 2, 4))))
+        assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == overlap, apex_z
+
+
+def test_strict_report_invariant_under_rational_scaling():
+    factor = Fraction(3, 7)
+    cases = [tetra_boundary_in_plane(), moved_vertex(generate(GeneratorSpec("delaunay2d", 2, 60, 3))),
+             moved_vertex(generate(GeneratorSpec("freudenthal", 3, 2)))]
+    for c in cases:
+        scaled = Complex(c.dimension,
+                         tuple(point(*(x * factor for x in p.coords)) for p in c.vertices),
+                         c.simplices)
+        before = validate(c, GEOMETRIC_STRICT)
+        assert overlap_pairs(before)
+        assert validate(scaled, GEOMETRIC_STRICT).issues == before.issues
+
+
+def moved_vertex(c):
+    """Move the last vertex of simplex 0 to the centroid of the middle
+    simplex, which forces interior overlaps."""
+    mid = c.simplex_points(len(c.simplices) // 2)
+    centroid = [sum(p[k] for p in mid) / len(mid) for k in range(c.dimension)]
+    verts = list(c.vertices)
+    verts[c.simplices[0].vertex_ids[-1]] = point(*centroid)
+    return Complex(c.dimension, tuple(verts), c.simplices)
+
+
+def primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found if p * p <= k):
+            found.append(k)
+        k += 1
+    return found
+
+
+def coprime_strip(triangles, shift_every=0):
+    """A strip of triangles between y = 0 and y = 1 whose vertices each
+    carry their own prime denominator, so the LCM over the whole vertex
+    table has tens of thousands of bits.  With shift_every = n, every n-th
+    top vertex moves right by 3/2, past its neighbours."""
+    cols = triangles // 2 + 1
+    ps = primes(2 * cols)
+    verts = []
+    for k in range(cols):
+        for row in (0, 1):
+            p = ps[2 * k + row]
+            x = Fraction(k * p + 1, p)
+            if row and shift_every and k % shift_every == 0:
+                x += Fraction(3, 2)
+            verts.append(point(x, row))
+    simplices = []
+    for k in range(cols - 1):
+        a = 2 * k
+        simplices += [Simplex((a, a + 1, a + 2)), Simplex((a + 1, a + 2, a + 3))]
+    return Complex(2, tuple(verts), tuple(simplices))
+
+
+def test_coprime_denominator_strip():
+    c = coprime_strip(2000)
+    assert len(c.simplices) == 2000
+    start = time.perf_counter()
+    report = validate(c, GEOMETRIC_STRICT)
+    elapsed = time.perf_counter() - start
+    assert report.ok, report.summary()
+    assert elapsed < 10.0, elapsed
+
+    perturbed = coprime_strip(2000, shift_every=37)
+    pairs = overlap_pairs(validate(perturbed, GEOMETRIC_STRICT))
+    assert pairs
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == oracle_pairs(perturbed)
+
+
+def test_tiny_gaps_with_huge_denominators_are_exact():
+    # Two triangles separated, or overlapping, by 1/(3^80 * 7^40) along x.
+    eps = Fraction(1, 3 ** 80 * 7 ** 40)
+    for gap, overlap in ((eps, False), (Fraction(0), False), (-eps, True)):
+        verts = (point(0, 0), point(1, Fraction(1, 2)), point(0, 1),
+                 point(1 + gap, 0), point(1 + gap, 1), point(2, Fraction(1, 3)))
+        c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((3, 4, 5))))
+        rep = validate(c, GEOMETRIC_STRICT)
+        assert bool(overlap_pairs(rep)) == overlap, gap
+        assert bool(overlap_pairs(rep)) == oracle_interiors_overlap(
+            [v.coords for v in verts[:3]], [v.coords for v in verts[3:]], 2)
+
+
+def test_many_degenerate_simplices_reported_once_each():
+    # 3000 collinear triangles plus one real one: every degenerate simplex
+    # is reported and skipped by the overlap check.
+    verts = tuple(point(k, 0) for k in range(3002)) + (point(0, 1),)
+    simplices = tuple(Simplex((k, k + 1, k + 2)) for k in range(3000)) + (Simplex((0, 1, 3002)),)
+    rep = validate(Complex(2, verts, simplices), GEOMETRIC_STRICT)
+    codes = [i.code for i in rep.issues]
+    assert codes.count("degenerate-simplex") == 3000
+    assert "interior-overlap" not in codes
