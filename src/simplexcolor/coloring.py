@@ -24,7 +24,7 @@ from itertools import combinations
 from .dual import DualGraph, build_dual
 from .errors import InputError, InvariantError, UnrealizableComplexError
 from .geometry import extreme_point, supporting_hyperplane
-from .model import Coloring, Complex, Facet, facet_multiplicity
+from .model import Coloring, Complex, Facet, _is_int, _read_json
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC = "geometric"
@@ -62,10 +62,16 @@ def certificate_to_dict(cert: PeelCertificate) -> dict:
 
 def certificate_from_dict(data: dict) -> PeelCertificate:
     for key in ("method", "steps"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise InputError(f"certificate JSON is missing the {key!r} field")
-    steps = tuple((int(i), Facet(tuple(ids))) for i, ids in data["steps"])
-    return PeelCertificate(steps, data["method"])
+    steps = data["steps"]
+    if not isinstance(steps, list) or not all(
+        isinstance(step, list) and len(step) == 2 and _is_int(step[0])
+        and isinstance(step[1], list) and all(map(_is_int, step[1]))
+        for step in steps
+    ):
+        raise InputError("certificate 'steps' must be [simplex, [facet vertex ids]] integer pairs")
+    return PeelCertificate(tuple((i, Facet(tuple(ids))) for i, ids in steps), data["method"])
 
 
 def save_certificate(cert: PeelCertificate, path: str) -> None:
@@ -75,12 +81,7 @@ def save_certificate(cert: PeelCertificate, path: str) -> None:
 
 
 def load_certificate(path: str) -> PeelCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return certificate_from_dict(data)
+    return certificate_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +93,11 @@ def find_exposed_combinatorial(c: Complex) -> tuple[int, Facet]:
     lexicographically smallest exposed facet as witness."""
     if not c.simplices:
         raise InputError("empty complex has no exposed simplex")
-    mult = facet_multiplicity(c)
+    owners = c.facet_owners
     for i, s in enumerate(c.simplices):
-        exposed = sorted(f for f in s.facets() if mult[f] == 1)
+        exposed = [f for f in s.facet_ids() if len(owners[f]) == 1]
         if exposed:
-            return i, exposed[0]
+            return i, Facet(min(exposed))
     raise UnrealizableComplexError(len(c.simplices))
 
 
@@ -139,15 +140,12 @@ def _find_exposed_geometric(c: Complex, alive: list[int]):
         # geometrically consistent (overlapping simplices) the exposure
         # argument breaks down, so the witness is verified before returning.
         for i in work:
-            for f in sorted(c.simplices[i].facets()):
-                if anchor_set <= set(f.vertex_ids) and on_hull(f.vertex_ids):
-                    owners = sum(
-                        1 for j in alive
-                        if set(f.vertex_ids) <= set(c.simplices[j].vertex_ids)
-                    )
-                    if owners != 1:
+            for f in sorted(c.simplices[i].facet_ids()):
+                if anchor_set <= set(f) and on_hull(f):
+                    live = set(alive)
+                    if sum(j in live for j in c.facet_owners[f]) != 1:
                         raise UnrealizableComplexError(len(alive))
-                    return i, f, tuple(trace)
+                    return i, Facet(f), tuple(trace)
 
         # Otherwise grow the anchor: the largest face strictly containing it
         # (below facet dimension) that lies on the hull.
@@ -199,39 +197,30 @@ def find_exposed_geometric(c: Complex):
 
 def _peel_combinatorial(c: Complex) -> PeelCertificate:
     n = len(c.simplices)
-    owners: dict[Facet, list[int]] = {}
-    facets_of: list[tuple[Facet, ...]] = []
-    for i, s in enumerate(c.simplices):
-        fs = s.facets()
-        facets_of.append(fs)
-        for f in fs:
-            owners.setdefault(f, []).append(i)
+    owners = c.facet_owners
+    mult: dict[tuple[int, ...], int] = {}
     for f, own in owners.items():
         if len(own) > 2:
             raise InputError(
-                f"invalid complex: facet {f.vertex_ids} shared by {len(own)} simplices"
+                f"invalid complex: facet {f} shared by {len(own)} simplices"
             )
+        mult[f] = len(own)
 
-    mult = {f: len(own) for f, own in owners.items()}
     alive = [True] * n
-    heap = [i for i in range(n) if any(mult[f] == 1 for f in facets_of[i])]
-    heapq.heapify(heap)
+    heap = sorted({own[0] for own in owners.values() if len(own) == 1})  # sorted is a heap
     steps: list[tuple[int, Facet]] = []
 
     while heap:
         i = heapq.heappop(heap)
         if not alive[i]:
             continue
-        witness = min(f for f in facets_of[i] if mult[f] == 1)
-        steps.append((i, witness))
+        facets = c.simplices[i].facet_ids()
+        steps.append((i, Facet(min(f for f in facets if mult[f] == 1))))
         alive[i] = False
-        for f in facets_of[i]:
+        for f in facets:
             mult[f] -= 1
-            owners[f].remove(i)
             if mult[f] == 1:
-                j = owners[f][0]
-                if alive[j]:
-                    heapq.heappush(heap, j)
+                heapq.heappush(heap, next(j for j in owners[f] if alive[j]))
 
     if len(steps) != n:
         raise UnrealizableComplexError(n - len(steps))
@@ -309,18 +298,21 @@ def verify_coloring(c: Complex, col: Coloring):
 # Exact chromatic number
 
 
+def _dsatur_pick(g: DualGraph, colors: list[int], neighbor_colors: list[set[int]]) -> int:
+    """The uncolored node of largest (saturation, degree, -index): ties on
+    saturation and degree go to the lowest index."""
+    return max(
+        (v for v in range(g.node_count) if colors[v] < 0),
+        key=lambda v: (len(neighbor_colors[v]), g.degree(v), -v),
+    )
+
+
 def _greedy_dsatur(g: DualGraph) -> list[int]:
     n = g.node_count
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     for _ in range(n):
-        best, key = None, None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            k = (len(neighbor_colors[v]), g.degree(v), -v)
-            if best is None or k > key:
-                best, key = v, k
+        best = _dsatur_pick(g, colors, neighbor_colors)
         chosen = next(k for k in range(n + 1) if k not in neighbor_colors[best])
         colors[best] = chosen
         for w in g.neighbors(best):
@@ -360,16 +352,6 @@ def _try_k_coloring(g: DualGraph, k: int):
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
 
-    def pick() -> int:
-        best, key = -1, None
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            kk = (len(neighbor_colors[v]), g.degree(v), -v)
-            if key is None or kk > key:
-                best, key = v, kk
-        return best
-
     def assign(v: int, col: int, delta: list[int]):
         colors[v] = col
         for w in g.neighbors(v):
@@ -385,7 +367,7 @@ def _try_k_coloring(g: DualGraph, k: int):
     def solve(done: int, used: int) -> bool:
         if done == n:
             return True
-        v = pick()
+        v = _dsatur_pick(g, colors, neighbor_colors)
         if len(neighbor_colors[v]) >= k:
             return False
         limit = min(k, used + 1)  # new colors introduced in order

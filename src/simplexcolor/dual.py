@@ -54,20 +54,17 @@ class CliqueReport:
 
 def build_dual(c: Complex) -> DualGraph:
     """Adjacency over shared facets; rejects facets owned by > 2 simplices."""
-    owners: dict[Facet, list[int]] = {}
-    for i, s in enumerate(c.simplices):
-        for f in s.facets():
-            owners.setdefault(f, []).append(i)
     adjacency: list[list[tuple[int, Facet]]] = [[] for _ in c.simplices]
-    for f, own in owners.items():
+    for f, own in c.facet_owners.items():
         if len(own) > 2:
             raise InputError(
-                f"invalid complex: facet {f.vertex_ids} shared by {len(own)} simplices"
+                f"invalid complex: facet {f} shared by {len(own)} simplices"
             )
         if len(own) == 2:
             i, j = own
-            adjacency[i].append((j, f))
-            adjacency[j].append((i, f))
+            facet = Facet(f)
+            adjacency[i].append((j, facet))
+            adjacency[j].append((i, facet))
     return DualGraph(
         len(c.simplices),
         tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
@@ -112,8 +109,8 @@ def _is_clique(g: DualGraph, nodes: tuple[int, ...]) -> bool:
     return all(b in neighbor_sets[a] for a, b in combinations(nodes, 2))
 
 
-def find_clique(g: DualGraph, r: int):
-    """Some r-clique as a sorted node list, or None.
+def _cliques(g: DualGraph, r: int):
+    """Every r-clique as a sorted node list, in increasing order.
 
     Degrees are bounded by d+1, so every r-clique lies inside the closed
     neighborhood of its minimal node; the scan is linear in nodes.
@@ -122,25 +119,19 @@ def find_clique(g: DualGraph, r: int):
         raise InputError(f"clique size must be >= 2, got {r}")
     for v in range(g.node_count):
         above = [u for u in g.neighbors(v) if u > v]
-        if len(above) < r - 1:
-            continue
         for rest in combinations(above, r - 1):
             if _is_clique(g, rest):
-                return [v] + list(rest)
-    return None
+                yield [v] + list(rest)
+
+
+def find_clique(g: DualGraph, r: int):
+    """Some r-clique as a sorted node list, or None."""
+    return next(_cliques(g, r), None)
 
 
 def find_all_cliques(g: DualGraph, r: int) -> list[list[int]]:
     """Every r-clique, each reported once (sorted by its node list)."""
-    if r < 2:
-        raise InputError(f"clique size must be >= 2, got {r}")
-    out = []
-    for v in range(g.node_count):
-        above = [u for u in g.neighbors(v) if u > v]
-        for rest in combinations(above, r - 1):
-            if _is_clique(g, rest):
-                out.append([v] + list(rest))
-    return out
+    return list(_cliques(g, r))
 
 
 def _hyperplane_through(c: Complex, ids: list[int]) -> Hyperplane:

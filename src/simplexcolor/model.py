@@ -9,8 +9,9 @@ indices.  Coordinates are exact rationals, and the JSON form is bit-exact
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import lt, mul
@@ -50,11 +51,13 @@ class Simplex:
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise InputError(f"simplex ids must be strictly increasing: {ids}")
 
-    def facets(self) -> tuple[Facet, ...]:
+    def facet_ids(self) -> tuple[tuple[int, ...], ...]:
+        """The facets' vertex ids, leaving out vertex k = 0..d in turn."""
         ids = self.vertex_ids
-        return tuple(
-            Facet(ids[:k] + ids[k + 1:]) for k in range(len(ids))
-        )
+        return tuple(ids[:k] + ids[k + 1:] for k in range(len(ids)))
+
+    def facets(self) -> tuple[Facet, ...]:
+        return tuple(Facet(f) for f in self.facet_ids())
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,20 @@ class Complex:
 
     def simplex_points(self, i: int) -> list[Point]:
         return [self.vertices[v] for v in self.simplices[i].vertex_ids]
+
+    @cached_property
+    def facet_owners(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Facet vertex ids -> indices of the simplices owning that facet,
+        increasing.  Keys come in first-seen order (simplex order, then
+        Simplex.facet_ids order).  Built on first use and shared by every
+        caller, so it must never be mutated."""
+        owners: dict[tuple[int, ...], list[int]] = {}
+        for i, s in enumerate(self.simplices):
+            for f in s.facet_ids():
+                owners.setdefault(f, []).append(i)
+        for f, own in owners.items():
+            owners[f] = tuple(own)
+        return owners
 
 
 @dataclass(frozen=True)
@@ -127,11 +144,7 @@ class ValidationReport:
 
 def facet_multiplicity(c: Complex) -> dict[Facet, int]:
     """How many simplices own each facet: 1 = exposed, 2 = glued."""
-    mult: dict[Facet, int] = {}
-    for s in c.simplices:
-        for f in s.facets():
-            mult[f] = mult.get(f, 0) + 1
-    return mult
+    return {Facet(f): len(own) for f, own in c.facet_owners.items()}
 
 
 def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
@@ -275,16 +288,10 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
             degenerate.add(i)
             issues.append(Issue("degenerate-simplex", f"simplex {i} is affinely degenerate", (i,)))
 
-    owners: dict[Facet, list[int]] = {}
-    for i, s in enumerate(c.simplices):
-        for f in s.facets():
-            owners.setdefault(f, []).append(i)
-    for f, own in owners.items():
+    for f, own in c.facet_owners.items():
         if len(own) > 2:
             issues.append(
-                Issue("overglued-facet",
-                      f"facet {f.vertex_ids} shared by {len(own)} simplices",
-                      tuple(own))
+                Issue("overglued-facet", f"facet {f} shared by {len(own)} simplices", own)
             )
 
     if level == GEOMETRIC_STRICT:
@@ -318,21 +325,36 @@ def complex_to_dict(c: Complex) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    """An integer as JSON decodes one: bool is an int subclass but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _rows(data: dict, key: str) -> list[list]:
+    rows = data[key]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError(f"{key!r} must be a list of lists")
+    return rows
+
+
 def complex_from_dict(data: dict) -> Complex:
     for key in ("dimension", "vertices", "simplices"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise InputError(f"complex JSON is missing the {key!r} field")
     d = data["dimension"]
-    if not isinstance(d, int):
+    if not _is_int(d):
         raise InputError("'dimension' must be an integer")
+    vertex_rows, simplex_rows = _rows(data, "vertices"), _rows(data, "simplices")
+    for k, row in enumerate(simplex_rows):
+        if not all(map(_is_int, row)):
+            raise InputError(f"simplex {k} has a vertex id that is not an integer: {row}")
+    if any(isinstance(x, bool) for row in vertex_rows for x in row):
+        raise InputError("a vertex coordinate is a boolean, not a number")
     try:
-        vertices = tuple(
-            Point(tuple(rational(x) for x in row)) for row in data["vertices"]
-        )
-        simplices = tuple(Simplex(tuple(row)) for row in data["simplices"])
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        vertices = tuple(Point(tuple(rational(x) for x in row)) for row in vertex_rows)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad complex JSON: {exc}") from exc
-    return Complex(d, vertices, simplices)
+    return Complex(d, vertices, tuple(Simplex(tuple(row)) for row in simplex_rows))
 
 
 def coloring_to_dict(col: Coloring) -> dict:
@@ -340,18 +362,35 @@ def coloring_to_dict(col: Coloring) -> dict:
 
 
 def coloring_from_dict(data: dict) -> Coloring:
-    if "colors" not in data:
+    if not isinstance(data, dict) or "colors" not in data:
         raise InputError("coloring JSON is missing the 'colors' field")
-    return Coloring(tuple(data["colors"]))
+    colors = data["colors"]
+    if not isinstance(colors, list) or not all(map(_is_int, colors)):
+        raise InputError("'colors' must be a list of integers")
+    return Coloring(tuple(colors))
+
+
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text; any other bytes raise InputError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
+def _read_json(path: str):
+    """Parse a JSON file; bad bytes or syntax raise InputError naming it."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_json(path: str) -> Complex:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return complex_from_dict(data)
+    return complex_from_dict(_read_json(path))
 
 
 def _save_json(c: Complex, path: str) -> None:
@@ -373,8 +412,8 @@ def _load_off(path: str) -> Complex:
     Vertex lines may carry 2 or 3 coordinates; a third coordinate must be
     exactly zero.  Faces must all be triangles.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n + 1, ln.split("#", 1)[0].strip()) for n, ln in enumerate(fh)]
+    text = _read_text(path)
+    lines = [(n + 1, ln.split("#", 1)[0].strip()) for n, ln in enumerate(text.split("\n"))]
     lines = [(n, ln) for n, ln in lines if ln]
     if not lines or lines[0][1].upper() != "OFF":
         raise InputError(f"{path}: not an OFF file (missing OFF header)")
@@ -459,9 +498,4 @@ def save_coloring(col: Coloring, path: str) -> None:
 
 
 def load_coloring(path: str) -> Coloring:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return coloring_from_dict(data)
+    return coloring_from_dict(_read_json(path))

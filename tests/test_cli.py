@@ -83,6 +83,35 @@ class TestColorVerify:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("color", str(tmp_path / "void.json"), "-o", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("content", [
+        b'{"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1.7, 2]]}',
+        b'{"dimension": true, "vertices": [[0], [1]], "simplices": [[0, 1]]}',
+        b'{"dimension": 1, "vertices": [[0], [true]], "simplices": [[0, 1]]}',
+    ])
+    def test_hostile_complex_exit_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_input_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        assert f"{bad}: JSON nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("colors", ["[1.9, 0, 2]", "[true, 0, 2]", '"ab"', "[0, 1, 2.0]"])
+    def test_hostile_coloring_exit_2(self, fan_file, tmp_path, colors):
+        bad = tmp_path / "bad.colors.json"
+        bad.write_text('{"colors": %s}' % colors)
+        assert run("verify", fan_file, str(bad)) == 2
+
     def test_color_then_verify_generator_outputs(self, tmp_path):
         cases = [
             ("fan", "2", "6"), ("closed-fan", "2", "5"), ("tri-tiling", "2", "3"),

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -269,6 +270,17 @@ class TestPeel:
         p.write_text('{"method": "combinatorial",\n  "steps": [,]}')
         with pytest.raises(InputError, match=r"cert\.json: invalid JSON at line 2 column 13: "):
             load_certificate(str(p))
+
+
+@pytest.mark.parametrize("steps", [
+    "xx", [[0]], [[0, [1, 2], 3]], [[0.5, [1, 2]]], [[True, [1, 2]]],
+    [[0, [1, 2.0]]], [[0, [False, 1]]], [[0, "12"]], [[0, [2, 1]]], 7,
+])
+def test_malformed_certificate_steps_rejected(tmp_path, steps):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps({"method": "combinatorial", "steps": steps}))
+    with pytest.raises(InputError):
+        load_certificate(str(p))
 
 
 class TestColor:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +16,11 @@ from simplexcolor.model import (
     Coloring,
     Complex,
     Facet,
+    Issue,
     Simplex,
+    ValidationReport,
+    coloring_from_dict,
+    complex_from_dict,
     facet_multiplicity,
     load,
     load_coloring,
@@ -92,6 +97,26 @@ class TestValidate:
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3)), Simplex((1, 2, 4))))
         rep = validate(c)
         assert any(i.code == "overglued-facet" for i in rep.issues)
+
+    def test_overglued_report_literal(self):
+        # Two facets each owned by three triangles, one of them degenerate.
+        # Issues follow first-seen facet order: (1, 2) before (0, 1).
+        verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1),
+                 point(-1, -1), point(2, 0), point(0, -1))
+        c = Complex(2, verts, tuple(Simplex(s) for s in (
+            (1, 2, 4), (0, 1, 5), (0, 1, 2), (1, 2, 3), (0, 1, 6))))
+        combinatorial = (
+            Issue("degenerate-simplex", "simplex 1 is affinely degenerate", (1,)),
+            Issue("overglued-facet", "facet (1, 2) shared by 3 simplices", (0, 2, 3)),
+            Issue("overglued-facet", "facet (0, 1) shared by 3 simplices", (1, 2, 4)),
+        )
+        overlaps = (
+            Issue("interior-overlap", "simplices 0 and 4 have overlapping interiors", (0, 4)),
+            Issue("interior-overlap", "simplices 0 and 2 have overlapping interiors", (0, 2)),
+        )
+        assert validate(c) == ValidationReport(COMBINATORIAL, combinatorial)
+        assert validate(c, GEOMETRIC_STRICT) == ValidationReport(
+            GEOMETRIC_STRICT, combinatorial + overlaps)
 
     def test_duplicate_simplex_reported(self):
         c = Complex(
@@ -285,6 +310,37 @@ class TestSerialization:
         p.write_text('{"dimension": 2,,}')
         with pytest.raises(InputError, match="line 1"):
             load(str(p))
+
+    @pytest.mark.parametrize("name", ["c.json", "c.off", "col.json"])
+    def test_non_utf8_file_named(self, tmp_path, name):
+        p = tmp_path / name
+        p.write_bytes(b"\xff\xfe{\x00}")
+        with pytest.raises(InputError, match=re.escape(f"{p}: not UTF-8")):
+            if name == "col.json":
+                load_coloring(str(p))
+            else:
+                load(str(p), format=name[2:])
+
+    @pytest.mark.parametrize("data", [
+        {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1.7, 2]]},
+        {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[False, 1, 2]]},
+        {"dimension": True, "vertices": [[0], [1]], "simplices": [[0, 1]]},
+        {"dimension": 1, "vertices": [[0], [True]], "simplices": [[0, 1]]},
+        {"dimension": 1, "vertices": [[0], [1e999]], "simplices": [[0, 1]]},
+        {"dimension": 1, "vertices": ["0", "1"], "simplices": [[0, 1]]},
+        {"dimension": 1, "vertices": [[0], [1]], "simplices": "01"},
+        [2, [], []],
+    ])
+    def test_complex_json_types_rejected(self, data):
+        with pytest.raises(InputError):
+            complex_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"colors": [1.9]}, {"colors": [True]}, {"colors": "ab"}, {"colors": 3}, [0, 1],
+    ])
+    def test_coloring_json_types_rejected(self, data):
+        with pytest.raises(InputError):
+            coloring_from_dict(data)
 
     def test_coloring_round_trip(self, tmp_path):
         col = Coloring((0, 2, 1))

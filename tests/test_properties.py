@@ -1,5 +1,7 @@
 """Cross-module invariants checked over a corpus of generated complexes."""
 
+from itertools import combinations
+
 import pytest
 
 from simplexcolor.coloring import COMBINATORIAL, GEOMETRIC, color, exact_chromatic, peel, verify_coloring
@@ -87,3 +89,34 @@ def test_boundary_abstract_is_the_negative_control():
         assert validate(c, LEVEL_COMBINATORIAL).ok
         rep = validate(c, GEOMETRIC_STRICT)
         assert not rep.ok
+
+
+def brute_force_owners(c):
+    # combinations() yields the d-subsets leaving out the last vertex first,
+    # so reversed() gives the index's order: leave out vertex 0, 1, ..., d.
+    owners = {}
+    for i, s in enumerate(c.simplices):
+        for f in reversed(list(combinations(s.vertex_ids, c.dimension))):
+            owners.setdefault(f, []).append(i)
+    return [(f, tuple(own)) for f, own in owners.items()]
+
+
+def test_facet_owners_match_brute_force(corpus):
+    for spec, c in corpus:
+        assert list(c.facet_owners.items()) == brute_force_owners(c), spec
+        assert all(type(f) is tuple for f in c.facet_owners), spec
+
+
+def test_facet_owners_never_mutated(corpus):
+    for spec, c in corpus:
+        index = c.facet_owners
+        before = list(index.items())
+        for method in (COMBINATORIAL, GEOMETRIC):
+            cert = peel(c, method)
+        validate(c, LEVEL_COMBINATORIAL)
+        if spec.dimension <= 3:
+            validate(c, GEOMETRIC_STRICT)
+        verify_coloring(c, color(c, cert))
+        build_dual(c)
+        assert c.facet_owners is index, spec
+        assert list(index.items()) == before, spec
