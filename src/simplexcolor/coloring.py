@@ -24,7 +24,7 @@ from itertools import combinations
 from .dual import DualGraph, build_dual
 from .errors import InputError, InvariantError, UnrealizableComplexError
 from .geometry import extreme_point, supporting_hyperplane
-from .model import Coloring, Complex, Facet, _is_int, _read_json
+from .model import Coloring, Complex, Facet, _is_int, _naming, _read_json
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC = "geometric"
@@ -81,7 +81,8 @@ def save_certificate(cert: PeelCertificate, path: str) -> None:
 
 
 def load_certificate(path: str) -> PeelCertificate:
-    return certificate_from_dict(_read_json(path))
+    with _naming(path):
+        return certificate_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +105,33 @@ def find_exposed_combinatorial(c: Complex) -> tuple[int, Facet]:
 def _find_exposed_geometric(c: Complex, alive: list[int]):
     """Exposed simplex among `alive`, found by nested-hull descent.
 
-    The anchor face starts as the lexicographically minimal used vertex (a
-    hull vertex) and grows strictly at each level; the working set is every
-    alive simplex containing the anchor.  A facet containing the anchor that
-    lies on the working set's hull must be exposed: any simplex glued to it
-    would contain the anchor, hence belong to the working set, hence sit on
-    the wrong side of its own supporting hyperplane.
+    The per-call reference for the geometric finder: it recomputes
+    everything from `alive` (the used vertices, their lexicographic minimum
+    through `extreme_point`, that vertex's star) and then runs the one
+    descent, `_descend`, that the incremental `_peel_geometric` also runs.
     """
     if not alive:
         raise InputError("empty complex has no exposed simplex")
-    d = c.dimension
     used_ids = sorted({v for i in alive for v in c.simplices[i].vertex_ids})
     used_points = [c.vertices[v] for v in used_ids]
     v = used_ids[extreme_point(used_points)]
-
-    anchor = (v,)
     work = [i for i in alive if v in c.simplices[i].vertex_ids]
+    return _descend(c, v, work, set(alive))
+
+
+def _descend(c: Complex, v: int, work: list[int], live: set[int]):
+    """Nested-hull descent from the hull vertex `v` of the live complex.
+
+    `work` lists the live simplices containing `v`; `live` holds every live
+    simplex index.  The anchor face starts as `v` and grows strictly at each
+    level; the working set is every live simplex containing the anchor.  A
+    facet containing the anchor that lies on the working set's hull must be
+    exposed: any simplex glued to it would contain the anchor, hence belong
+    to the working set, hence sit on the wrong side of its own supporting
+    hyperplane.
+    """
+    d = c.dimension
+    anchor = (v,)
     trace = [TraceStep(anchor, len(work))]
 
     while True:
@@ -142,9 +154,8 @@ def _find_exposed_geometric(c: Complex, alive: list[int]):
         for i in work:
             for f in sorted(c.simplices[i].facet_ids()):
                 if anchor_set <= set(f) and on_hull(f):
-                    live = set(alive)
                     if sum(j in live for j in c.facet_owners[f]) != 1:
-                        raise UnrealizableComplexError(len(alive))
+                        raise UnrealizableComplexError(len(live))
                     return i, Facet(f), tuple(trace)
 
         # Otherwise grow the anchor: the largest face strictly containing it
@@ -228,12 +239,30 @@ def _peel_combinatorial(c: Complex) -> PeelCertificate:
 
 
 def _peel_geometric(c: Complex) -> PeelCertificate:
-    alive = list(range(len(c.simplices)))
+    """Geometric peel that keeps its state incrementally: each vertex's
+    star (simplex indices, increasing) and live-incidence count, and one
+    lexicographic vertex order.  The lexicographically minimal used vertex
+    can only move forward as simplices die, so a forward-only cursor finds
+    each step's hull vertex, and a step touches only that vertex's star."""
+    star: list[list[int]] = [[] for _ in c.vertices]
+    for i, s in enumerate(c.simplices):
+        for v in s.vertex_ids:
+            star[v].append(i)
+    count = [len(s) for s in star]
+    # A stable sort keeps extreme_point's first-minimum tie-break.
+    order = sorted(range(len(c.vertices)), key=lambda v: c.vertices[v].coords)
+    cursor = 0
+    live = set(range(len(c.simplices)))
     steps: list[tuple[int, Facet]] = []
-    while alive:
-        i, witness, _trace = _find_exposed_geometric(c, alive)
+    while live:
+        while not count[order[cursor]]:
+            cursor += 1
+        v = order[cursor]
+        i, witness, _trace = _descend(c, v, [j for j in star[v] if j in live], live)
         steps.append((i, witness))
-        alive.remove(i)
+        live.remove(i)
+        for u in c.simplices[i].vertex_ids:
+            count[u] -= 1
     return PeelCertificate(tuple(steps), GEOMETRIC)
 
 
@@ -343,7 +372,11 @@ def _max_clique_size(g: DualGraph) -> int:
 
 
 def _try_k_coloring(g: DualGraph, k: int):
-    """A proper k-coloring, or None after exhausting the search tree."""
+    """A proper k-coloring, or None after exhausting the search tree.
+
+    Depth-first over DSATUR picks with an explicit stack, so the depth is
+    not bounded by the interpreter's recursion limit.  Colors are tried in
+    increasing order, and a new color only right after those in use."""
     n = g.node_count
     if n == 0:
         return []
@@ -351,37 +384,32 @@ def _try_k_coloring(g: DualGraph, k: int):
         return None
     colors = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-
-    def assign(v: int, col: int, delta: list[int]):
-        colors[v] = col
-        for w in g.neighbors(v):
-            if col not in neighbor_colors[w]:
-                neighbor_colors[w].add(col)
-                delta.append(w)
-
-    def unassign(v: int, col: int, delta: list[int]):
+    # One frame per colored node: (node, colors in use before it, its
+    # color, the neighbors that gained that color).
+    stack: list[tuple[int, int, int, list[int]]] = []
+    v, used, start = _dsatur_pick(g, colors, neighbor_colors), 0, 0
+    while True:
+        limit = min(k, used + 1)
+        col = next((x for x in range(start, limit) if x not in neighbor_colors[v]), None)
+        if col is not None:
+            colors[v] = col
+            delta = []
+            for w in g.neighbors(v):
+                if col not in neighbor_colors[w]:
+                    neighbor_colors[w].add(col)
+                    delta.append(w)
+            stack.append((v, used, col, delta))
+            if len(stack) == n:
+                return list(colors)
+            v, used, start = _dsatur_pick(g, colors, neighbor_colors), max(used, col + 1), 0
+            continue
+        if not stack:
+            return None
+        v, used, col, delta = stack.pop()
         colors[v] = -1
         for w in delta:
             neighbor_colors[w].discard(col)
-
-    def solve(done: int, used: int) -> bool:
-        if done == n:
-            return True
-        v = _dsatur_pick(g, colors, neighbor_colors)
-        if len(neighbor_colors[v]) >= k:
-            return False
-        limit = min(k, used + 1)  # new colors introduced in order
-        for col in range(limit):
-            if col in neighbor_colors[v]:
-                continue
-            delta: list[int] = []
-            assign(v, col, delta)
-            if solve(done + 1, max(used, col + 1)):
-                return True
-            unassign(v, col, delta)
-        return False
-
-    return list(colors) if solve(0, 0) else None
+        start = col + 1
 
 
 def exact_chromatic(g: DualGraph, node_limit: int = 40) -> OracleResult:

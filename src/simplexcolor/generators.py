@@ -37,6 +37,9 @@ BOUNDARY_ABSTRACT = "boundary-abstract"
 
 KINDS = (FAN, CLOSED_FAN, TRI_TILING, DELAUNAY2D, FREUDENTHAL, PATH, BOUNDARY_ABSTRACT)
 
+# Most simplices one spec may ask for; checked before anything is built.
+MAX_SIMPLICES = 10**6
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -46,8 +49,33 @@ class GeneratorSpec:
     seed: int = 0
 
 
+def _simplex_count(spec: GeneratorSpec) -> int:
+    """Simplices the spec asks for (for delaunay2d Euler's bound 2n - 5),
+    counted only as far as needed to exceed MAX_SIMPLICES."""
+    d, size = spec.dimension, max(spec.size, 0)
+    if spec.kind == TRI_TILING:
+        return 2 * size * size
+    if spec.kind == DELAUNAY2D:
+        return 2 * size - 5
+    if spec.kind == FREUDENTHAL:
+        count = 1  # m^d cells of d! simplices: the product of m*k, k = 1..d
+        for k in range(1, d + 1):
+            count *= size * k
+            if count > MAX_SIMPLICES:
+                break
+        return count
+    if spec.kind == BOUNDARY_ABSTRACT:
+        return d + 2
+    return size
+
+
 def generate(spec: GeneratorSpec) -> Complex:
     d, size = spec.dimension, spec.size
+    if _simplex_count(spec) > MAX_SIMPLICES:
+        raise InputError(
+            f"{spec.kind} of size {size} would build more than {MAX_SIMPLICES} "
+            f"simplices (the generator cap)"
+        )
     if spec.kind == FAN:
         if d < 2:
             raise InputError("fan requires dimension >= 2")

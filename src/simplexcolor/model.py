@@ -9,6 +9,7 @@ indices.  Coordinates are exact rationals, and the JSON form is bit-exact
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -379,6 +380,18 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
+@contextmanager
+def _naming(path: str):
+    """Prefix the InputError raised inside with `path`, unless its message
+    already starts with it (the reader's own positioned errors)."""
+    try:
+        yield
+    except InputError as exc:
+        if str(exc).startswith(f"{path}:"):
+            raise
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _read_json(path: str):
     """Parse a JSON file; bad bytes or syntax raise InputError naming it."""
     try:
@@ -475,11 +488,11 @@ def _save_off(c: Complex, path: str) -> None:
 
 
 def load(path: str, format: str = JSON_FORMAT) -> Complex:
-    if format == JSON_FORMAT:
-        return _load_json(path)
-    if format == OFF_FORMAT:
-        return _load_off(path)
-    raise InputError(f"unknown format {format!r}")
+    readers = {JSON_FORMAT: _load_json, OFF_FORMAT: _load_off}
+    if format not in readers:
+        raise InputError(f"unknown format {format!r}")
+    with _naming(path):
+        return readers[format](path)
 
 
 def save(c: Complex, path: str, format: str = JSON_FORMAT) -> None:
@@ -498,4 +511,5 @@ def save_coloring(col: Coloring, path: str) -> None:
 
 
 def load_coloring(path: str) -> Coloring:
-    return coloring_from_dict(_read_json(path))
+    with _naming(path):
+        return coloring_from_dict(_read_json(path))

@@ -47,12 +47,13 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
     if coloring is not None:
         if len(coloring.colors) != len(c.simplices):
             raise InputError("coloring length does not match simplex count")
-        top = max(coloring.colors)
-        if top + 1 > len(options.palette):
-            raise InputError(
-                f"palette has {len(options.palette)} colors but the coloring "
-                f"uses color index {top}"
-            )
+        n = len(options.palette)
+        for i, k in enumerate(coloring.colors):
+            if not 0 <= k < n:
+                raise InputError(
+                    f"palette has {n} colors (indices 0..{n - 1}) but simplex {i} "
+                    f"has color index {k}"
+                )
 
     xs = [p[0] for p in c.vertices]
     ys = [p[1] for p in c.vertices]

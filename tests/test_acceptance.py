@@ -1,15 +1,17 @@
 """Acceptance suite.
 
 One test per acceptance criterion, plus strict validation of the larger
-planar instances, each printing a PASS line with the measured numbers
-(run with `pytest -s tests/test_acceptance.py` to see them).  Tolerances are exact wherever rational arithmetic decides, and the
-only timing budget is 10 seconds for the color pipeline on a ten-thousand
-simplex instance.
+planar instances and the geometric peel at scale, each printing a PASS line
+with the measured numbers (run with `pytest -s tests/test_acceptance.py` to
+see them).  Tolerances are exact wherever rational arithmetic decides, and
+the only timing budget is 10 seconds per ten-thousand simplex instance, for
+the color pipeline and for the geometric peel.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -55,7 +57,7 @@ from simplexcolor.render import RenderOptions, render_svg
 from simplexcolor.coloring import verify_coloring
 
 BIG = 9000          # instances at the 10^4 scale
-TIME_BUDGET = 10.0  # seconds per big instance for peel+color+verify
+TIME_BUDGET = 10.0  # seconds per big instance: peel+color+verify, or geometric peel
 DELAUNAY_SEEDS = 50
 
 
@@ -149,7 +151,8 @@ def test_criterion_2_geometric_finder_agreement(corpus):
     """On every valid geometric instance with <= 500 simplices (d in {2,3})
     the nested-hull finder's trace strictly decreases, each witness facet
     has multiplicity 1 in its residual complex (recomputed independently),
-    and the full geometric peel succeeds.  Zero failures allowed."""
+    and the full geometric peel succeeds with exactly the steps of the
+    per-call finder.  Zero failures allowed."""
     small = [
         (label, d, c) for label, kind, d, c in corpus
         if d <= 3 and len(c.simplices) <= 500
@@ -176,17 +179,63 @@ def test_criterion_2_geometric_finder_agreement(corpus):
             assert owners == [i], (label, i, witness)
             if len(trace) > 1:
                 deep_traces += 1
-            order.append(i)
+            order.append((i, witness))
             alive.remove(i)
             steps_checked += 1
-        assert sorted(order) == list(range(len(c.simplices))), label
-        col = color(c, peel(c, GEOMETRIC))
+        assert sorted(i for i, _ in order) == list(range(len(c.simplices))), label
+        cert = peel(c, GEOMETRIC)
+        assert cert.steps == tuple(order), label
+        col = color(c, cert)
         ok, violations = verify_coloring(c, col)
         assert ok and max(col.colors) <= d, (label, violations)
     assert deep_traces >= 1  # the pinwheel forces at least one descent
     print(f"PASS criterion 2: {len(small)} instances, {steps_checked} geometric "
           f"peel steps, all traces strictly decreasing, all witnesses exposed "
           f"({deep_traces} steps required hull descent)")
+
+
+def _replay_certificate(c, cert):
+    """Facet multiplicities replayed from scratch: every simplex is removed
+    exactly once, and each witness is a facet of its simplex owned by no
+    other simplex still present."""
+    d = c.dimension
+    mult = Counter(f for s in c.simplices for f in combinations(s.vertex_ids, d))
+    removed = set()
+    for i, witness in cert.steps:
+        ids = c.simplices[i].vertex_ids
+        assert i not in removed, i
+        assert len(witness.vertex_ids) == d and set(witness.vertex_ids) <= set(ids), (i, witness)
+        assert mult[witness.vertex_ids] == 1, (i, witness)
+        removed.add(i)
+        mult.subtract(combinations(ids, d))
+    assert len(removed) == len(c.simplices)
+
+
+def test_geometric_peel_at_scale(corpus):
+    """Every corpus instance above criterion 2's 500-simplex cap, the 10^4
+    scale included, is peeled geometrically within the time budget; the
+    certificate replays and colors the complex with d+1 colors.  The two
+    10^4 hub fans are left out: once the hub is the anchor its star is the
+    whole residual complex, so each step still scans every live simplex and
+    the peel stays quadratic."""
+    cases = [
+        (label, d, c) for label, kind, d, c in corpus
+        if len(c.simplices) > 500 and kind not in (FAN, CLOSED_FAN)
+    ]
+    labels = {label for label, _d, _c in cases}
+    assert {"delaunay2d-d2-s5100-seed49", "freudenthal-d3-s12-seed0"} <= labels
+    times = []
+    for label, d, c in cases:
+        t0 = time.perf_counter()
+        cert = peel(c, GEOMETRIC)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < TIME_BUDGET, (label, elapsed)
+        times.append(f"{label} ({len(c.simplices)}) {elapsed:.2f}s")
+        _replay_certificate(c, cert)
+        col = color(c, cert)
+        ok, violations = verify_coloring(c, col)
+        assert ok and max(col.colors) <= d, (label, violations)
+    print("PASS geometric peel at scale: " + ", ".join(times))
 
 
 def test_strict_validation_of_large_planar_instances(corpus):

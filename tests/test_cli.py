@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -41,6 +42,17 @@ class TestGenerate:
         path = str(tmp_path / "x.json")
         assert run("generate", "--kind", "tri-tiling", "--dim", "3",
                    "--size", "2", "-o", path) == 2
+
+
+    def test_size_cap_exit_2_at_once(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        t0 = time.perf_counter()
+        assert run("generate", "--kind", "fan", "--dim", "2", "--size", "100000000",
+                   "-o", str(path)) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "fan" in err and "100000000" in err and "1000000" in err
+        assert not path.exists()
 
 
 class TestColorVerify:
@@ -112,6 +124,31 @@ class TestColorVerify:
         bad.write_text('{"colors": %s}' % colors)
         assert run("verify", fan_file, str(bad)) == 2
 
+    def test_coloring_type_error_names_file(self, fan_file, tmp_path, capsys):
+        bad = tmp_path / "bad.colors.json"
+        bad.write_text('{"colors": "ab"}')
+        assert run("verify", fan_file, str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {bad}: 'colors' must be a list of integers\n"
+
+    def test_missing_vertex_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], '
+                       '"simplices": [[0, 1, 5]]}')
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err == f"error: {bad}: simplex 0 references a missing vertex\n"
+
+    @pytest.mark.parametrize("name, content", [
+        ("bad.json", '{"dimension": 2,,}'),
+        ("bad.off", "OFF\n3 1 0\n0 0\n1 0\n0 1\n4 0 1 2 3\n"),
+        ("bad.off", "OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 7\n"),
+    ])
+    def test_input_error_names_file_once(self, tmp_path, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_text(content)
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:") and err.count(str(bad)) == 1
+
     def test_color_then_verify_generator_outputs(self, tmp_path):
         cases = [
             ("fan", "2", "6"), ("closed-fan", "2", "5"), ("tri-tiling", "2", "3"),
@@ -164,6 +201,13 @@ class TestChromatic:
         assert run("chromatic", fan_file) == 0
         assert "3" in capsys.readouterr().out
 
+    def test_long_odd_closed_fan(self, tmp_path, capsys):
+        path = str(tmp_path / "fan1501.json")
+        run("generate", "--kind", "closed-fan", "--dim", "2", "--size", "1501", "-o", path)
+        capsys.readouterr()
+        assert run("chromatic", path, "--limit", "2000") == 0
+        assert capsys.readouterr().out == "exact chromatic number: 3\n"
+
     def test_limit_refusal(self, tmp_path):
         path = str(tmp_path / "big.json")
         run("generate", "--kind", "path", "--dim", "2", "--size", "50", "-o", path)
@@ -203,6 +247,14 @@ class TestRender:
         assert run("render", src, "-o", out1, "--show-dual") == 0
         assert run("render", src, "-o", out2, "--show-dual") == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_negative_color_exit_2(self, fan_file, tmp_path, capsys):
+        col_path = tmp_path / "neg.json"
+        col_path.write_text('{"colors": [-1, 0, 1]}')
+        svg_path = tmp_path / "x.svg"
+        assert run("render", fan_file, "--coloring", str(col_path), "-o", str(svg_path)) == 2
+        assert "color index -1" in capsys.readouterr().err
+        assert not svg_path.exists()
 
     def test_palette_too_small(self, fan_file, tmp_path):
         col_path = str(tmp_path / "c.json")

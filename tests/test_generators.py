@@ -14,7 +14,9 @@ from simplexcolor.generators import (
     FREUDENTHAL,
     PATH,
     TRI_TILING,
+    MAX_SIMPLICES,
     GeneratorSpec,
+    _simplex_count,
     generate,
 )
 from simplexcolor.geometry import det
@@ -271,3 +273,28 @@ class TestDeterminism:
 def test_unknown_kind():
     with pytest.raises(InputError):
         generate(GeneratorSpec("moebius", 2, 3))
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(FAN, 2, 8), GeneratorSpec(FAN, 4, 3), GeneratorSpec(CLOSED_FAN, 2, 9),
+    GeneratorSpec(TRI_TILING, 2, 5), GeneratorSpec(FREUDENTHAL, 3, 2),
+    GeneratorSpec(FREUDENTHAL, 4, 1), GeneratorSpec(PATH, 3, 10),
+    GeneratorSpec(BOUNDARY_ABSTRACT, 3), GeneratorSpec(DELAUNAY2D, 2, 60, seed=9),
+])
+def test_simplex_count_matches_generated(spec):
+    built = len(generate(spec).simplices)
+    if spec.kind == DELAUNAY2D:
+        assert built <= _simplex_count(spec)
+    else:
+        assert built == _simplex_count(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(FAN, 2, MAX_SIMPLICES + 1), GeneratorSpec(CLOSED_FAN, 2, 10**8),
+    GeneratorSpec(TRI_TILING, 2, 708), GeneratorSpec(DELAUNAY2D, 2, MAX_SIMPLICES // 2 + 3),
+    GeneratorSpec(FREUDENTHAL, 3, 70), GeneratorSpec(FREUDENTHAL, 10**9, 1),
+    GeneratorSpec(PATH, 4, MAX_SIMPLICES + 1), GeneratorSpec(BOUNDARY_ABSTRACT, MAX_SIMPLICES),
+])
+def test_size_cap_rejects_before_building(spec):
+    with pytest.raises(InputError, match=f"{spec.kind} of size {spec.size} .* {MAX_SIMPLICES} simplices"):
+        generate(spec)
