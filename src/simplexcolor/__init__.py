@@ -35,6 +35,7 @@ from .dual import (
     stats,
 )
 from .errors import (
+    ColoringError,
     InputError,
     InvariantError,
     SimplexColorError,
@@ -73,6 +74,7 @@ __all__ = [
     "GEOMETRIC",
     "CliqueReport",
     "Coloring",
+    "ColoringError",
     "Complex",
     "DualGraph",
     "Facet",

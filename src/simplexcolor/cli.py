@@ -13,9 +13,9 @@ import sys
 from . import coloring as coloring_mod
 from .coloring import color, exact_chromatic, peel, save_certificate, verify_coloring
 from .dual import analyze_max_clique_configuration, build_dual, find_all_cliques, find_clique, stats
-from .errors import InputError, SimplexColorError, UnrealizableComplexError
+from .errors import ColoringError, InputError, SimplexColorError, UnrealizableComplexError
 from .generators import KINDS, GeneratorSpec, generate
-from .model import load, load_coloring, save, save_coloring
+from .model import _naming, load, load_coloring, save, save_coloring
 from .render import DEFAULT_PALETTE, RenderOptions, render_svg
 
 EXIT_OK = 0
@@ -58,7 +58,8 @@ def cmd_color(args) -> int:
 def cmd_verify(args) -> int:
     c = load(args.input, format=_fmt_detect(args.input))
     col = load_coloring(args.coloring)
-    ok, violations = verify_coloring(c, col)
+    with _naming(args.coloring, ColoringError):
+        ok, violations = verify_coloring(c, col)
     if ok:
         print("coloring is valid")
         return EXIT_OK
@@ -141,7 +142,8 @@ def cmd_render(args) -> int:
     col = load_coloring(args.coloring) if args.coloring else None
     palette = tuple(args.palette.split(",")) if args.palette else DEFAULT_PALETTE
     options = RenderOptions(args.width, args.height, palette, args.show_dual)
-    svg = render_svg(c, col, options)
+    with _naming(args.coloring, ColoringError):
+        svg = render_svg(c, col, options)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.output}")

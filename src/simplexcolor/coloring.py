@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .dual import DualGraph, build_dual
-from .errors import InputError, InvariantError, UnrealizableComplexError
-from .geometry import extreme_point, supporting_hyperplane
+from .errors import ColoringError, InputError, InvariantError, UnrealizableComplexError
+from .geometry import extreme_point, hull_normal
 from .model import Coloring, Complex, Facet, _is_int, _naming, _read_json
 
 COMBINATORIAL = "combinatorial"
@@ -131,20 +131,20 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int]):
     hyperplane.
     """
     d = c.dimension
+    rows = c.homogeneous
     anchor = (v,)
     trace = [TraceStep(anchor, len(work))]
 
     while True:
-        cloud_ids = sorted({u for i in work for u in c.simplices[i].vertex_ids})
-        cloud = [c.vertices[u] for u in cloud_ids]
+        cloud = [rows[u] for u in {u for i in work for u in c.simplices[i].vertex_ids}]
         anchor_set = set(anchor)
 
         hull_cache: dict[tuple[int, ...], bool] = {}
 
         def on_hull(face_ids: tuple[int, ...]) -> bool:
             if face_ids not in hull_cache:
-                pts = [c.vertices[u] for u in face_ids]
-                hull_cache[face_ids] = supporting_hyperplane(pts, cloud) is not None
+                face = [rows[u] for u in face_ids]
+                hull_cache[face_ids] = hull_normal(face, cloud) is not None
             return hull_cache[face_ids]
 
         # A facet containing the anchor on the hull of the working set is
@@ -308,7 +308,7 @@ def verify_coloring(c: Complex, col: Coloring):
     facet-sharing simplices differs; otherwise False plus violations."""
     n = len(c.simplices)
     if len(col.colors) != n:
-        raise InputError(
+        raise ColoringError(
             f"coloring has {len(col.colors)} entries for {n} simplices"
         )
     violations = []

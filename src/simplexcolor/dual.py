@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError
-from .geometry import Hyperplane, _nullspace, _sub, side_of
+from .geometry import Hyperplane, facet_normal, homogeneous_row, side_of
 from .model import Complex, Facet
 
 
@@ -136,14 +136,10 @@ def find_all_cliques(g: DualGraph, r: int) -> list[list[int]]:
 
 def _hyperplane_through(c: Complex, ids: list[int]) -> Hyperplane:
     """The hyperplane spanned by d affinely independent vertices."""
-    d = c.dimension
-    pts = [c.vertices[i] for i in ids]
-    normals = _nullspace([_sub(p, pts[0]) for p in pts[1:]], d)
-    if len(normals) != 1:
+    h = facet_normal([homogeneous_row(c.vertices[i].coords) for i in ids])
+    if not any(h):
         raise InputError(f"vertices {ids} do not span a hyperplane")
-    n = normals[0]
-    offset = sum(a * b for a, b in zip(n, pts[0].coords))
-    return Hyperplane(n, offset)
+    return Hyperplane(tuple(h[:-1]), -h[-1])
 
 
 def analyze_max_clique_configuration(c: Complex, clique: list[int]) -> CliqueReport:

@@ -9,6 +9,11 @@ class InputError(SimplexColorError):
     """Malformed or out-of-contract input (bad file, dimension mismatch, ...)."""
 
 
+class ColoringError(InputError):
+    """A coloring that does not fit its complex: wrong length, or a color
+    the renderer has no fill for."""
+
+
 class UnrealizableComplexError(SimplexColorError):
     """Raised when peeling stalls: no simplex has an exposed facet.
 

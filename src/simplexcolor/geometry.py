@@ -9,11 +9,16 @@ given by the LCM of their own denominators (never one LCM over a whole
 vertex table) and then runs Bareiss's fraction-free elimination, whose
 divisions are all exact.
 
-The hull-membership test (`supporting_hyperplane`) never builds a convex
-hull.  It decides, by exact linear feasibility, whether a hyperplane exists
-that contains a given face and keeps the whole point cloud on one closed
-side; such a hyperplane exists exactly when the face lies on the boundary
-of the cloud's convex hull.
+The hull-membership test never builds a convex hull.  It decides whether
+a hyperplane exists that contains a given face and keeps the whole point
+cloud on one closed side; such a hyperplane exists exactly when the face
+lies on the boundary of the cloud's convex hull.  It runs on
+homogeneous integer rows: a point p becomes (p·q, q), q > 0 the LCM of p's
+own denominators, and `Complex.homogeneous` keeps these rows once per
+complex.  For a face of d points the normal comes from d+1 cofactor
+minors, and one signed dot product per cloud row decides; smaller or
+affinely dependent faces go through fraction-free linear feasibility.
+`supporting_hyperplane` wraps the same kernel for rational points.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError
 
@@ -90,10 +96,6 @@ def _sign(x: Fraction) -> int:
 
 def _dot(a, b) -> Fraction:
     return sum((ai * bi for ai, bi in zip(a, b)), Fraction(0))
-
-
-def _sub(p: Point, q: Point) -> Vec:
-    return tuple(a - b for a, b in zip(p.coords, q.coords))
 
 
 def clear_denominators(rows) -> tuple[int, list[list[int]]]:
@@ -178,13 +180,124 @@ def extreme_point(cloud: list[Point]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear feasibility, used only through supporting_hyperplane.
-# Dimensions here are at most the ambient dimension d, so the worst-case
-# O(n^m) behaviour of the incremental method is irrelevant at desk scale.
+# The integer hull kernel.  Points come as homogeneous integer rows
+# (p·q, q) with q > 0, so the sign of h · (p·q, q) is the side of p with
+# respect to the hyperplane h, scaled by q.  Every step below scales rows,
+# columns and solutions by positive integers only, so each one picks the
+# same rational solution that the same method run over rationals would.
+# Linear systems here have at most d unknowns, so the worst-case O(n^m)
+# behaviour of the incremental feasibility method is irrelevant.
 
 
-def _feasible_point(rows: list[Vec], rhs: list[Fraction], m: int):
-    """Some x in Q^m with rows[i] . x <= rhs[i] for all i, else None.
+def homogeneous_row(coords) -> tuple[int, ...]:
+    """The integer row (p·q, q) of a rational point p, where q > 0 is the
+    LCM of p's own denominators."""
+    q = lcm(*(x.denominator for x in coords))
+    return tuple(x.numerator * (q // x.denominator) for x in coords) + (q,)
+
+
+def _primitive(v) -> list[int]:
+    """v divided by the gcd of its entries (a positive factor)."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
+
+
+def facet_normal(face) -> list[int]:
+    """The homogeneous normal h orthogonal to d homogeneous rows of length
+    d+1, from its d+1 cofactor minors: h · row is q times the side of the
+    row's point.  All zero exactly when the d points are affinely
+    dependent."""
+    width = len(face[0])
+    return [
+        (-1) ** j * _bareiss([list(r[:j] + r[j + 1:]) for r in face])
+        for j in range(width)
+    ]
+
+
+def hull_normal(face, cloud):
+    """The hull predicate: None exactly when the face does not lie on the
+    boundary of the cloud's convex hull.
+
+    `face` and `cloud` are homogeneous integer rows, every face row also
+    in the cloud.  Returns None when no hyperplane through the face keeps
+    the cloud on one closed side; otherwise a homogeneous normal h of such
+    a hyperplane with h · row <= 0 for every cloud row.  For clouds that
+    are not full-dimensional the boundary is the whole hull, and the flat
+    containing the cloud is an answer.
+    """
+    d = len(face[0]) - 1
+    if len(face) == d:
+        h = facet_normal(face)
+        side = 0
+        for row in cloud:
+            s = sum(map(mul, h, row))
+            if s:
+                if not side:
+                    side = s
+                elif (s > 0) != (side > 0):
+                    return None
+        # A zero normal (an affinely dependent face) or a cloud inside the
+        # hyperplane leaves the answer to the general method.
+        if side:
+            return h if side < 0 else [-x for x in h]
+    return _hull_normal_general(face, cloud, d)
+
+
+def _hull_normal_general(face, cloud, d: int):
+    """hull_normal for any face: project the cloud onto the complement of
+    the face's directions and look for a nonzero cone direction there."""
+    base, q = face[0][:d], face[0][d]
+
+    def offset(row):  # (p - base) scaled by q * row's q
+        return [x * q - b * row[d] for x, b in zip(row, base)]
+
+    complement = _nullspace([offset(r) for r in face[1:]], d)
+    if not complement:
+        return None  # the face affinely spans the whole space
+    projected = dict.fromkeys(
+        tuple(_primitive([sum(map(mul, col, w)) for col in complement]))
+        for w in map(offset, cloud)
+    )
+    y = _cone_nonzero(list(projected), len(complement))
+    if y is None:
+        return None
+    normal = [sum(col[j] * yk for col, yk in zip(complement, y)) for j in range(d)]
+    return [x * q for x in normal] + [-sum(map(mul, normal, base))]
+
+
+def _nullspace(rows, width: int) -> list[tuple[int, ...]]:
+    """Basis of {x : row . x = 0 for every row}, deterministic: one vector
+    per free column, positive there and zero at the other free columns."""
+    echelon: dict[int, list[int]] = {}  # pivot column -> row, zero before it
+    for row in rows:
+        r = list(row)
+        for p, er in echelon.items():
+            if r[p]:
+                f = r[p]
+                r = [x * er[p] - f * y for x, y in zip(r, er)]
+        piv = next((c for c in range(width) if r[c]), None)
+        if piv is not None:
+            echelon[piv] = _primitive(r)
+    basis = []
+    for free in range(width):
+        if free in echelon:
+            continue
+        vec = [0] * width
+        vec[free] = 1
+        for p in sorted(echelon, reverse=True):
+            num, den = -sum(map(mul, echelon[p], vec)), echelon[p][p]
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(num, den)
+            vec = [x * (den // g) for x in vec]
+            vec[p] = num // g
+        basis.append(tuple(_primitive(vec)))
+    return basis
+
+
+def _feasible_point(rows, rhs, m: int):
+    """Some x in Q^m with rows[i] . x <= rhs[i] for all i, as (X, D) with
+    x = X / D and D > 0, else None.
 
     Deterministic incremental method: keep a point satisfying the prefix of
     constraints; when constraint i is violated, any solution of the full
@@ -192,64 +305,37 @@ def _feasible_point(rows: list[Vec], rhs: list[Fraction], m: int):
     substituted in.
     """
     if m == 0:
-        return () if all(b >= 0 for b in rhs) else None
-    x = [Fraction(0)] * m
+        return ((), 1) if all(b >= 0 for b in rhs) else None
+    x, den = [0] * m, 1
     for i, (a, b) in enumerate(zip(rows, rhs)):
-        if _dot(a, x) <= b:
+        if sum(map(mul, a, x)) <= b * den:
             continue
-        piv = next((j for j in range(m) if a[j] != 0), None)
+        piv = next((j for j in range(m) if a[j]), None)
         if piv is None:
             return None  # 0 <= b is false
-        # substitute x[piv] = (b - sum a[l] x[l]) / a[piv] into the prefix
+        # substitute x[piv] = (b - sum a[l] x[l]) / a[piv] into the prefix,
+        # each row scaled by |a[piv]|
+        mag, sgn = abs(a[piv]), 1 if a[piv] > 0 else -1
         sub_rows, sub_rhs = [], []
         for aa, bb in zip(rows[:i], rhs[:i]):
-            factor = aa[piv] / a[piv]
-            sub_rows.append(tuple(aa[j] - factor * a[j] for j in range(m) if j != piv))
-            sub_rhs.append(bb - factor * b)
+            f = aa[piv] * sgn
+            row = [aa[j] * mag - f * a[j] for j in range(m) if j != piv]
+            row = _primitive(row + [bb * mag - f * b])
+            sub_rows.append(row[:-1])
+            sub_rhs.append(row[-1])
         sol = _feasible_point(sub_rows, sub_rhs, m - 1)
         if sol is None:
             return None
-        x = list(sol[:piv]) + [Fraction(0)] + list(sol[piv:])
-        x[piv] = (b - sum(a[j] * x[j] for j in range(m) if j != piv)) / a[piv]
-    return tuple(x)
+        sub_x, sub_den = sol
+        x = list(sub_x[:piv]) + [0] + list(sub_x[piv:])
+        rest = b * sub_den - sum(map(mul, a, x))
+        x = [v * mag for v in x]
+        x[piv] = sgn * rest
+        *x, den = _primitive(x + [sub_den * mag])
+    return tuple(x), den
 
 
-def _row_reduce(rows: list[Vec], width: int):
-    """Row-echelon basis of the row space; returns (pivot_cols, echelon_rows)."""
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        r = list(row)
-        for p, er in zip(pivots, echelon):
-            if r[p] != 0:
-                factor = r[p] / er[p]
-                for c in range(width):
-                    r[c] -= factor * er[c]
-        piv = next((c for c in range(width) if r[c] != 0), None)
-        if piv is not None:
-            pivots.append(piv)
-            echelon.append(r)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [pivots[k] for k in order], [echelon[k] for k in order]
-
-
-def _nullspace(rows: list[Vec], width: int) -> list[Vec]:
-    """Basis of {x : row . x = 0 for every row}, deterministic."""
-    pivots, echelon = _row_reduce(rows, width)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for p, er in zip(reversed(pivots), reversed(echelon)):
-            vec[p] = -sum(er[c] * vec[c] for c in range(p + 1, width)) / er[p]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _cone_nonzero(zs: list[Vec], m: int):
+def _cone_nonzero(zs, m: int):
     """Nonzero y with z . y <= 0 for every z in zs, or None.
 
     The feasible set is a polyhedral cone, so y can be scaled; a nonzero
@@ -258,26 +344,18 @@ def _cone_nonzero(zs: list[Vec], m: int):
     """
     zs = [z for z in zs if any(z)]
     if not zs:
-        return tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
+        return (1,) + (0,) * (m - 1)
     perp = _nullspace(zs, m)
     if perp:
         return perp[0]
     for i in range(m):
-        for s in (Fraction(1), Fraction(-1)):
-            rows = [tuple(z[j] for j in range(m) if j != i) for z in zs]
-            rhs = [-s * z[i] for z in zs]
-            sol = _feasible_point(rows, rhs, m - 1)
+        rows = [z[:i] + z[i + 1:] for z in zs]
+        for s in (1, -1):
+            sol = _feasible_point(rows, [-s * z[i] for z in zs], m - 1)
             if sol is not None:
-                return sol[:i] + (s,) + sol[i:]
+                sub_y, den = sol
+                return sub_y[:i] + (s * den,) + sub_y[i:]
     return None
-
-
-def _canonical(normal: list[Fraction], offset: Fraction) -> Hyperplane:
-    """Scale to a primitive integer normal, preserving orientation."""
-    ints = clear_denominators([list(normal) + [offset]])[1][0]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    return Hyperplane(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]))
 
 
 def supporting_hyperplane(face_vertices: list[Point], cloud: list[Point]):
@@ -305,23 +383,9 @@ def supporting_hyperplane(face_vertices: list[Point], cloud: list[Point]):
         if p.coords not in cloud_set:
             raise InputError("face vertex not present in cloud")
 
-    base = face_vertices[0]
-    directions = [_sub(p, base) for p in face_vertices[1:]]
-    complement = _nullspace(directions, d)  # identity basis when face is a point
-    m = len(complement)
-    if m == 0:
-        return None  # face affinely spans the whole space
-
-    projected = []
-    seen = set()
-    for p in cloud:
-        w = _sub(p, base)
-        z = tuple(_dot(col, w) for col in complement)
-        if z not in seen:
-            seen.add(z)
-            projected.append(z)
-    y = _cone_nonzero(projected, m)
-    if y is None:
+    h = hull_normal([homogeneous_row(p.coords) for p in face_vertices],
+                    [homogeneous_row(p.coords) for p in cloud])
+    if h is None:
         return None
-    normal = [sum(complement[k][j] * y[k] for k in range(m)) for j in range(d)]
-    return _canonical(normal, _dot(normal, base.coords))
+    h = _primitive(h)
+    return Hyperplane(tuple(h[:d]), -h[d])

@@ -18,7 +18,9 @@ from math import lcm
 from operator import lt, mul
 
 from .errors import InputError
-from .geometry import Point, clear_denominators, int_orientation, orientation, rational
+from .geometry import (
+    Point, clear_denominators, homogeneous_row, int_orientation, orientation, rational,
+)
 
 JSON_FORMAT = "json"
 OFF_FORMAT = "off"
@@ -107,6 +109,13 @@ class Complex:
         for f, own in owners.items():
             owners[f] = tuple(own)
         return owners
+
+    @cached_property
+    def homogeneous(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex as the integer row (p·q, q), q > 0 the LCM of that
+        vertex's own denominators: the rows the geometric peel's hull
+        test reads.  Built on first use and shared like facet_owners."""
+        return tuple(homogeneous_row(p.coords) for p in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -381,12 +390,12 @@ def _read_text(path: str) -> str:
 
 
 @contextmanager
-def _naming(path: str):
-    """Prefix the InputError raised inside with `path`, unless its message
+def _naming(path: str, kind: type[InputError] = InputError):
+    """Prefix the `kind` error raised inside with `path`, unless its message
     already starts with it (the reader's own positioned errors)."""
     try:
         yield
-    except InputError as exc:
+    except kind as exc:
         if str(exc).startswith(f"{path}:"):
             raise
         raise InputError(f"{path}: {exc}") from exc

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dual import build_dual
-from .errors import InputError
+from .errors import ColoringError, InputError
 from .model import Coloring, Complex
 
 DEFAULT_PALETTE = (
@@ -46,11 +46,11 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
         raise InputError("nothing to render: complex has no simplices")
     if coloring is not None:
         if len(coloring.colors) != len(c.simplices):
-            raise InputError("coloring length does not match simplex count")
+            raise ColoringError("coloring length does not match simplex count")
         n = len(options.palette)
         for i, k in enumerate(coloring.colors):
             if not 0 <= k < n:
-                raise InputError(
+                raise ColoringError(
                     f"palette has {n} colors (indices 0..{n - 1}) but simplex {i} "
                     f"has color index {k}"
                 )

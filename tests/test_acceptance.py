@@ -217,11 +217,14 @@ def test_geometric_peel_at_scale(corpus):
     certificate replays and colors the complex with d+1 colors.  The two
     10^4 hub fans are left out: once the hub is the anchor its star is the
     whole residual complex, so each step still scans every live simplex and
-    the peel stays quadratic."""
+    the peel stays quadratic.  Hub fans of 3000 simplices, in d = 2 and
+    d = 3, are peeled in their place."""
     cases = [
         (label, d, c) for label, kind, d, c in corpus
         if len(c.simplices) > 500 and kind not in (FAN, CLOSED_FAN)
     ]
+    for kind, d in ((CLOSED_FAN, 2), (FAN, 3)):
+        cases.append((f"{kind}-d{d}-s3000-seed0", d, generate(GeneratorSpec(kind, d, 3000))))
     labels = {label for label, _d, _c in cases}
     assert {"delaunay2d-d2-s5100-seed49", "freudenthal-d3-s12-seed0"} <= labels
     times = []

@@ -130,6 +130,33 @@ class TestColorVerify:
         assert run("verify", fan_file, str(bad)) == 2
         assert capsys.readouterr().err == f"error: {bad}: 'colors' must be a list of integers\n"
 
+    @pytest.mark.parametrize("command, colors", [
+        ("verify", [0, 1]),
+        ("render", [0, 1]),
+        ("render", [-1, 0, 1]),
+    ])
+    def test_coloring_content_error_names_file_once(self, fan_file, tmp_path, capsys,
+                                                    command, colors):
+        bad = tmp_path / "bad.colors.json"
+        bad.write_text(json.dumps({"colors": colors}))
+        svg = tmp_path / "x.svg"
+        if command == "verify":
+            assert run("verify", fan_file, str(bad)) == 2
+        else:
+            assert run("render", fan_file, "--coloring", str(bad), "-o", str(svg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count(str(bad)) == 1
+        assert not svg.exists()
+
+    def test_empty_complex_not_blamed_on_coloring(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"dimension": 2, "vertices": [], "simplices": []}')
+        col = tmp_path / "c.json"
+        col.write_text('{"colors": [0, 1]}')
+        assert run("render", str(empty), "--coloring", str(col), "-o", str(tmp_path / "x.svg")) == 2
+        err = capsys.readouterr().err
+        assert "nothing to render" in err and str(col) not in err
+
     def test_missing_vertex_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], '

@@ -1,4 +1,7 @@
+import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,8 @@ from simplexcolor.geometry import (
     Point,
     det,
     extreme_point,
+    homogeneous_row,
+    hull_normal,
     orientation,
     point,
     side_of,
@@ -284,3 +289,174 @@ class TestSupportingHyperplane:
         for cloud in clouds:
             v = cloud[extreme_point(cloud)]
             assert supporting_hyperplane([v], cloud) is not None
+
+
+# ---------------------------------------------------------------------------
+# The integer hull kernel against an eager Fraction reference: the
+# rational-arithmetic supporting_hyperplane the kernel replaced, kept here
+# as the oracle.
+
+
+def _ref_dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _ref_feasible_point(rows, rhs, m):
+    if m == 0:
+        return () if all(b >= 0 for b in rhs) else None
+    x = [Fraction(0)] * m
+    for i, (a, b) in enumerate(zip(rows, rhs)):
+        if _ref_dot(a, x) <= b:
+            continue
+        piv = next((j for j in range(m) if a[j] != 0), None)
+        if piv is None:
+            return None
+        sub_rows, sub_rhs = [], []
+        for aa, bb in zip(rows[:i], rhs[:i]):
+            factor = aa[piv] / a[piv]
+            sub_rows.append(tuple(aa[j] - factor * a[j] for j in range(m) if j != piv))
+            sub_rhs.append(bb - factor * b)
+        sol = _ref_feasible_point(sub_rows, sub_rhs, m - 1)
+        if sol is None:
+            return None
+        x = list(sol[:piv]) + [Fraction(0)] + list(sol[piv:])
+        x[piv] = (b - sum(a[j] * x[j] for j in range(m) if j != piv)) / a[piv]
+    return tuple(x)
+
+
+def _ref_nullspace(rows, width):
+    echelon, pivots = [], []
+    for row in rows:
+        r = list(row)
+        for p, er in zip(pivots, echelon):
+            if r[p] != 0:
+                factor = r[p] / er[p]
+                r = [x - factor * y for x, y in zip(r, er)]
+        piv = next((c for c in range(width) if r[c] != 0), None)
+        if piv is not None:
+            pivots.append(piv)
+            echelon.append(r)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    pivots, echelon = [pivots[k] for k in order], [echelon[k] for k in order]
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for p, er in zip(reversed(pivots), reversed(echelon)):
+            vec[p] = -sum(er[c] * vec[c] for c in range(p + 1, width)) / er[p]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _ref_cone_nonzero(zs, m):
+    zs = [z for z in zs if any(z)]
+    if not zs:
+        return tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
+    perp = _ref_nullspace(zs, m)
+    if perp:
+        return perp[0]
+    for i in range(m):
+        for s in (Fraction(1), Fraction(-1)):
+            rows = [tuple(z[j] for j in range(m) if j != i) for z in zs]
+            sol = _ref_feasible_point(rows, [-s * z[i] for z in zs], m - 1)
+            if sol is not None:
+                return sol[:i] + (s,) + sol[i:]
+    return None
+
+
+def reference_supporting_hyperplane(face, cloud):
+    """Canonical supporting hyperplane of coordinate tuples, in Fraction
+    arithmetic throughout, or None."""
+    d = len(cloud[0])
+    base = face[0]
+    directions = [tuple(a - b for a, b in zip(p, base)) for p in face[1:]]
+    complement = _ref_nullspace(directions, d)
+    m = len(complement)
+    if m == 0:
+        return None
+    projected = []
+    for p in cloud:
+        w = tuple(a - b for a, b in zip(p, base))
+        z = tuple(_ref_dot(col, w) for col in complement)
+        if z not in projected:
+            projected.append(z)
+    y = _ref_cone_nonzero(projected, m)
+    if y is None:
+        return None
+    normal = [sum(complement[k][j] * y[k] for k in range(m)) for j in range(d)]
+    values = normal + [_ref_dot(normal, base)]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = math.gcd(*ints)
+    return Hyperplane(tuple(v // g for v in ints[:-1]), ints[-1] // g)
+
+
+COPRIME_DENOMINATORS = (1, 2, 3, 7, 10**9 + 7)
+
+
+def _random_case(rng, d):
+    """A random cloud and face in R^d, with the degeneracies the kernel has
+    to handle: integer or rational coordinates, clouds flattened onto a
+    line or hyperplane, and faces that are affinely dependent."""
+    rational = rng.random() < 0.5
+
+    def coord():
+        if rational:
+            return Fraction(rng.randint(-9, 9), rng.choice(COPRIME_DENOMINATORS))
+        return Fraction(rng.randint(-3, 3))
+
+    flat = rng.choice(("full", "full", "line", "hyperplane")) if d > 1 else "full"
+    anchor = [coord() for _ in range(d)]
+    spans = [[coord() for _ in range(d)] for _ in range(1 if flat == "line" else d - 1)]
+    pts = []
+    for _ in range(rng.randint(1, d + 5)):
+        if flat == "full":
+            pts.append(tuple(coord() for _ in range(d)))
+        else:
+            ts = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in spans]
+            pts.append(tuple(a + sum(t * s[k] for t, s in zip(ts, spans))
+                             for k, a in enumerate(anchor)))
+    size = rng.randint(1, d)
+    face = rng.sample(pts, min(size, len(pts)))
+    if len(face) >= 2 and rng.random() < 0.25:
+        # The last face point moved onto the line through the first two:
+        # dependent when the face has three points or t = 0 repeats one.
+        t = Fraction(rng.randint(-2, 3), 2)
+        extra = tuple(a + t * (b - a) for a, b in zip(face[0], face[1]))
+        face[-1] = extra
+        pts.append(extra)
+    cloud = list(dict.fromkeys(pts))
+    rng.shuffle(cloud)
+    return face, cloud, flat
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hull_kernel_matches_fraction_reference(d):
+    """hull_normal decides exactly what the Fraction reference decides, and
+    supporting_hyperplane returns the reference's canonical hyperplane, on
+    faces of every size 1..d, dependent faces and flat clouds."""
+    rng = random.Random(600 + d)
+    seen = Counter()
+    for _ in range(400):
+        face, cloud, flat = _random_case(rng, d)
+        expected = reference_supporting_hyperplane(face, cloud)
+        rows = [homogeneous_row(p) for p in cloud]
+        face_rows = [homogeneous_row(p) for p in face]
+        found = hull_normal(face_rows, rows)
+        assert (found is not None) == (expected is not None), (face, cloud)
+        got = supporting_hyperplane([Point(p) for p in face], [Point(p) for p in cloud])
+        assert got == expected, (face, cloud)
+        if found is not None:
+            assert all(sum(map(operator.mul, found, r)) <= 0 for r in rows)
+            assert all(sum(map(operator.mul, found, r)) == 0 for r in face_rows)
+        directions = [tuple(a - b for a, b in zip(p, face[0])) for p in face[1:]]
+        dependent = len(_ref_nullspace(directions, d)) > d + 1 - len(face)
+        seen[(len(face), flat, expected is None, dependent)] += 1
+    sizes = {size for size, _, _, _ in seen}
+    assert sizes == set(range(1, d + 1))
+    assert any(none for _, _, none, _ in seen) and any(not none for _, _, none, _ in seen)
+    if d > 1:
+        assert {flat for _, flat, _, _ in seen} == {"full", "line", "hyperplane"}
+        assert any(dep for *_, dep in seen)
