@@ -116,10 +116,13 @@ def _find_exposed_geometric(c: Complex, alive: list[int]):
     used_points = [c.vertices[v] for v in used_ids]
     v = used_ids[extreme_point(used_points)]
     work = [i for i in alive if v in c.simplices[i].vertex_ids]
-    return _descend(c, v, work, set(alive))
+    trace: list[TraceStep] = []
+    i, witness = _descend(c, v, work, set(alive), trace)
+    return i, witness, tuple(trace)
 
 
-def _descend(c: Complex, v: int, work: list[int], live: set[int]):
+def _descend(c: Complex, v: int, work: list[int], live: set[int],
+             trace: list[TraceStep] | None = None) -> tuple[int, Facet]:
     """Nested-hull descent from the hull vertex `v` of the live complex.
 
     `work` lists the live simplices containing `v`; `live` holds every live
@@ -128,14 +131,16 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int]):
     facet containing the anchor that lies on the working set's hull must be
     exposed: any simplex glued to it would contain the anchor, hence belong
     to the working set, hence sit on the wrong side of its own supporting
-    hyperplane.
+    hyperplane.  A `trace` list, when given, receives one TraceStep per
+    level.
     """
     d = c.dimension
     rows = c.homogeneous
     anchor = (v,)
-    trace = [TraceStep(anchor, len(work))]
 
     while True:
+        if trace is not None:
+            trace.append(TraceStep(anchor, len(work)))
         cloud = [rows[u] for u in {u for i in work for u in c.simplices[i].vertex_ids}]
         anchor_set = set(anchor)
 
@@ -156,7 +161,7 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int]):
                 if anchor_set <= set(f) and on_hull(f):
                     if sum(j in live for j in c.facet_owners[f]) != 1:
                         raise UnrealizableComplexError(len(live))
-                    return i, Facet(f), tuple(trace)
+                    return i, Facet(f)
 
         # Otherwise grow the anchor: the largest face strictly containing it
         # (below facet dimension) that lies on the hull.
@@ -190,7 +195,6 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int]):
             )
         anchor = grown
         work = new_work
-        trace.append(TraceStep(anchor, len(work)))
 
 
 def find_exposed_geometric(c: Complex):
@@ -258,7 +262,7 @@ def _peel_geometric(c: Complex) -> PeelCertificate:
         while not count[order[cursor]]:
             cursor += 1
         v = order[cursor]
-        i, witness, _trace = _descend(c, v, [j for j in star[v] if j in live], live)
+        i, witness = _descend(c, v, [j for j in star[v] if j in live], live)
         steps.append((i, witness))
         live.remove(i)
         for u in c.simplices[i].vertex_ids:
@@ -327,26 +331,75 @@ def verify_coloring(c: Complex, col: Coloring):
 # Exact chromatic number
 
 
-def _dsatur_pick(g: DualGraph, colors: list[int], neighbor_colors: list[set[int]]) -> int:
-    """The uncolored node of largest (saturation, degree, -index): ties on
-    saturation and degree go to the lowest index."""
-    return max(
-        (v for v in range(g.node_count) if colors[v] < 0),
-        key=lambda v: (len(neighbor_colors[v]), g.degree(v), -v),
-    )
+class _Dsatur:
+    """A partial coloring and DSATUR's selection order: `pick` returns the
+    uncolored node of largest (saturation, degree), ties going to the
+    lowest index, where a node's saturation is the number of distinct
+    colors among its neighbors.
+
+    A heap of (-saturation, -degree, node) entries replaces a scan of every
+    node per pick.  Each change to an uncolored node's saturation, and each
+    uncoloring, pushes a fresh entry; `pick` drops entries that no longer
+    match their node.  The heap is rebuilt from the uncolored nodes once
+    stale entries pile up, so backtracking keeps it O(n + edges).
+    """
+
+    def __init__(self, g: DualGraph):
+        n = g.node_count
+        self.neighbors = [g.neighbors(v) for v in range(n)]
+        self.colors = [-1] * n
+        self.neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+        self._rebuild()
+
+    def _entry(self, v: int) -> tuple[int, int, int]:
+        return -len(self.neighbor_colors[v]), -len(self.neighbors[v]), v
+
+    def _rebuild(self) -> None:
+        self._heap = [self._entry(v) for v, k in enumerate(self.colors) if k < 0]
+        heapq.heapify(self._heap)
+
+    def _push(self, v: int) -> None:
+        if self.colors[v] < 0:
+            heapq.heappush(self._heap, self._entry(v))
+
+    def pick(self) -> int:
+        heap = self._heap
+        if len(heap) > 4 * len(self.colors) + 16:
+            self._rebuild()
+            heap = self._heap
+        while True:
+            sat, _, v = heap[0]
+            if self.colors[v] < 0 and -sat == len(self.neighbor_colors[v]):
+                return v
+            heapq.heappop(heap)
+
+    def assign(self, v: int, col: int) -> list[int]:
+        """Color v; returns the neighbors that gained `col`, for `unassign`."""
+        self.colors[v] = col
+        delta = []
+        for w in self.neighbors[v]:
+            if col not in self.neighbor_colors[w]:
+                self.neighbor_colors[w].add(col)
+                delta.append(w)
+                self._push(w)
+        return delta
+
+    def unassign(self, v: int, col: int, delta: list[int]) -> None:
+        """Undo `assign(v, col)`, which returned `delta`."""
+        self.colors[v] = -1
+        self._push(v)
+        for w in delta:
+            self.neighbor_colors[w].discard(col)
+            self._push(w)
 
 
 def _greedy_dsatur(g: DualGraph) -> list[int]:
     n = g.node_count
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    state = _Dsatur(g)
     for _ in range(n):
-        best = _dsatur_pick(g, colors, neighbor_colors)
-        chosen = next(k for k in range(n + 1) if k not in neighbor_colors[best])
-        colors[best] = chosen
-        for w in g.neighbors(best):
-            neighbor_colors[w].add(chosen)
-    return colors
+        v = state.pick()
+        state.assign(v, next(k for k in range(n + 1) if k not in state.neighbor_colors[v]))
+    return state.colors
 
 
 def _max_clique_size(g: DualGraph) -> int:
@@ -382,33 +435,24 @@ def _try_k_coloring(g: DualGraph, k: int):
         return []
     if k <= 0:
         return None
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    state = _Dsatur(g)
     # One frame per colored node: (node, colors in use before it, its
     # color, the neighbors that gained that color).
     stack: list[tuple[int, int, int, list[int]]] = []
-    v, used, start = _dsatur_pick(g, colors, neighbor_colors), 0, 0
+    v, used, start = state.pick(), 0, 0
     while True:
         limit = min(k, used + 1)
-        col = next((x for x in range(start, limit) if x not in neighbor_colors[v]), None)
+        col = next((x for x in range(start, limit) if x not in state.neighbor_colors[v]), None)
         if col is not None:
-            colors[v] = col
-            delta = []
-            for w in g.neighbors(v):
-                if col not in neighbor_colors[w]:
-                    neighbor_colors[w].add(col)
-                    delta.append(w)
-            stack.append((v, used, col, delta))
+            stack.append((v, used, col, state.assign(v, col)))
             if len(stack) == n:
-                return list(colors)
-            v, used, start = _dsatur_pick(g, colors, neighbor_colors), max(used, col + 1), 0
+                return list(state.colors)
+            v, used, start = state.pick(), max(used, col + 1), 0
             continue
         if not stack:
             return None
         v, used, col, delta = stack.pop()
-        colors[v] = -1
-        for w in delta:
-            neighbor_colors[w].discard(col)
+        state.unassign(v, col, delta)
         start = col + 1
 
 

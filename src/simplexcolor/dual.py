@@ -53,7 +53,16 @@ class CliqueReport:
 
 
 def build_dual(c: Complex) -> DualGraph:
-    """Adjacency over shared facets; rejects facets owned by > 2 simplices."""
+    """Adjacency over shared facets; rejects facets owned by > 2 simplices.
+
+    The graph is built once per complex and cached on it (Complex.dual), so
+    coloring, verification, rendering and analysis all read the same one.
+    """
+    return c.dual
+
+
+def _facet_adjacency(c: Complex) -> DualGraph:
+    """Build the dual graph from c.facet_owners (the body of Complex.dual)."""
     adjacency: list[list[tuple[int, Facet]]] = [[] for _ in c.simplices]
     for f, own in c.facet_owners.items():
         if len(own) > 2:

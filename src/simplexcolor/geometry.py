@@ -157,6 +157,18 @@ def int_orientation(pts: list[list[int]]) -> int:
     return _sign(_bareiss([[a - b for a, b in zip(p, base)] for p in pts[1:]]))
 
 
+def homogeneous_orientation(rows) -> int:
+    """`orientation` for d+1 points given as homogeneous integer rows
+    (p·q, q), q > 0.
+
+    det[p·q | q] = (q_0 ··· q_d) · det[p | 1] = (q_0 ··· q_d) · (-1)^d ·
+    det[p_i - p_0], so one fraction-free determinant of the rows decides,
+    with no per-call LCM.
+    """
+    s = _sign(_bareiss([list(r) for r in rows]))
+    return -s if len(rows) % 2 == 0 else s
+
+
 def side_of(h: Hyperplane, p: Point) -> int:
     """Sign of normal . p - offset: +1, 0 (on the plane) or -1."""
     if p.dim != h.dim:

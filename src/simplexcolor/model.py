@@ -16,11 +16,15 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import lt, mul
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .geometry import (
-    Point, clear_denominators, homogeneous_row, int_orientation, orientation, rational,
+    Point, clear_denominators, homogeneous_orientation, homogeneous_row, int_orientation, rational,
 )
+
+if TYPE_CHECKING:
+    from .dual import DualGraph
 
 JSON_FORMAT = "json"
 OFF_FORMAT = "off"
@@ -113,9 +117,18 @@ class Complex:
     @cached_property
     def homogeneous(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex as the integer row (p·q, q), q > 0 the LCM of that
-        vertex's own denominators: the rows the geometric peel's hull
-        test reads.  Built on first use and shared like facet_owners."""
+        vertex's own denominators: the rows validation's degeneracy check
+        and the geometric peel's hull test read.  Built on first use and
+        shared like facet_owners."""
         return tuple(homogeneous_row(p.coords) for p in self.vertices)
+
+    @cached_property
+    def dual(self) -> DualGraph:
+        """The facet-adjacency graph that `dual.build_dual` returns, built
+        on first use and shared like facet_owners.  An overglued facet
+        raises InputError on every access: a failed build is not cached."""
+        from .dual import _facet_adjacency  # dual imports this module
+        return _facet_adjacency(self)
 
 
 @dataclass(frozen=True)
@@ -281,20 +294,21 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
         else:
             seen[s.vertex_ids] = i
 
-    coords_seen: dict[tuple, int] = {}
-    for i, p in enumerate(c.vertices):
-        if p.coords in coords_seen:
+    # A vertex's homogeneous row is a function of its coordinates and
+    # determines them, so equal rows mean coincident vertices.
+    rows = c.homogeneous
+    first_at: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(rows):
+        first = first_at.setdefault(row, i)
+        if first != i:
             issues.append(
-                Issue("coincident-vertices",
-                      f"vertices {coords_seen[p.coords]} and {i} share coordinates",
-                      (coords_seen[p.coords], i))
+                Issue("coincident-vertices", f"vertices {first} and {i} share coordinates",
+                      (first, i))
             )
-        else:
-            coords_seen[p.coords] = i
 
     degenerate = set()
-    for i in range(len(c.simplices)):
-        if orientation(c.simplex_points(i), d) == 0:
+    for i, s in enumerate(c.simplices):
+        if not homogeneous_orientation([rows[v] for v in s.vertex_ids]):
             degenerate.add(i)
             issues.append(Issue("degenerate-simplex", f"simplex {i} is affinely degenerate", (i,)))
 

@@ -68,16 +68,17 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
     off_x = (Fraction(options.width) - scale * (lo_x + hi_x)) / 2
     off_y = (Fraction(options.height) + scale * (lo_y + hi_y)) / 2
 
-    def xy(p):
-        return off_x + scale * p[0], off_y - scale * p[1]
+    # The map is affine, so each vertex is mapped and formatted once, and a
+    # centroid's screen point is the exact mean of its three screen points.
+    screen = [(off_x + scale * p[0], off_y - scale * p[1]) for p in c.vertices]
+    labels = [f"{_fmt(x)},{_fmt(y)}" for x, y in screen]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{options.width}" '
         f'height="{options.height}" viewBox="0 0 {options.width} {options.height}">',
     ]
     for i, s in enumerate(c.simplices):
-        pts = [xy(c.vertices[v]) for v in s.vertex_ids]
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        coords = " ".join(labels[v] for v in s.vertex_ids)
         fill = options.palette[coloring.colors[i]] if coloring else "#d8d8d8"
         lines.append(
             f'<polygon points="{coords}" fill="{fill}" stroke="#222222" stroke-width="1"/>'
@@ -85,19 +86,15 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
     if options.show_dual:
         centroids = []
         for s in c.simplices:
-            cx = sum(c.vertices[v][0] for v in s.vertex_ids) / 3
-            cy = sum(c.vertices[v][1] for v in s.vertex_ids) / 3
-            centroids.append(xy((cx, cy)))
-        g = build_dual(c)
-        for i, j, _f in g.edges():
+            (xa, ya), (xb, yb), (xc, yc) = (screen[v] for v in s.vertex_ids)
+            centroids.append((_fmt((xa + xb + xc) / 3), _fmt((ya + yb + yc) / 3)))
+        for i, j, _f in build_dual(c).edges():
             (x1, y1), (x2, y2) = centroids[i], centroids[j]
             lines.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                 f'stroke="#000000" stroke-width="1.5"/>'
             )
         for x, y in centroids:
-            lines.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="#000000"/>'
-            )
+            lines.append(f'<circle cx="{x}" cy="{y}" r="3.5" fill="#000000"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,11 +1,17 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from simplexcolor import coloring
 from simplexcolor.coloring import (
     COMBINATORIAL,
+    OracleResult,
+    _greedy_dsatur,
+    _max_clique_size,
+    _try_k_coloring,
     GEOMETRIC,
     PeelCertificate,
     certificate_from_dict,
@@ -18,7 +24,7 @@ from simplexcolor.coloring import (
     peel,
     verify_coloring,
 )
-from simplexcolor.dual import build_dual
+from simplexcolor.dual import DualGraph, build_dual
 from simplexcolor.errors import InputError, UnrealizableComplexError
 from simplexcolor.geometry import point
 from simplexcolor.model import (
@@ -387,3 +393,147 @@ class TestExactChromatic:
         assert res.chromatic_number == 4
         col = color(c, peel(c))
         assert len(set(col.colors)) == 4
+
+
+# The scan-based DSATUR selection as it was before the heap: the reference
+# the heap-backed picks are compared against.
+
+
+def _ref_dsatur_pick(g, colors, neighbor_colors):
+    return max(
+        (v for v in range(g.node_count) if colors[v] < 0),
+        key=lambda v: (len(neighbor_colors[v]), g.degree(v), -v),
+    )
+
+
+def _ref_greedy_dsatur(g):
+    n = g.node_count
+    colors = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    for _ in range(n):
+        best = _ref_dsatur_pick(g, colors, neighbor_colors)
+        chosen = next(k for k in range(n + 1) if k not in neighbor_colors[best])
+        colors[best] = chosen
+        for w in g.neighbors(best):
+            neighbor_colors[w].add(chosen)
+    return colors
+
+
+def _ref_try_k_coloring(g, k):
+    n = g.node_count
+    if n == 0:
+        return []
+    if k <= 0:
+        return None
+    colors = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    stack = []
+    v, used, start = _ref_dsatur_pick(g, colors, neighbor_colors), 0, 0
+    while True:
+        limit = min(k, used + 1)
+        col = next((x for x in range(start, limit) if x not in neighbor_colors[v]), None)
+        if col is not None:
+            colors[v] = col
+            delta = []
+            for w in g.neighbors(v):
+                if col not in neighbor_colors[w]:
+                    neighbor_colors[w].add(col)
+                    delta.append(w)
+            stack.append((v, used, col, delta))
+            if len(stack) == n:
+                return list(colors)
+            v, used, start = _ref_dsatur_pick(g, colors, neighbor_colors), max(used, col + 1), 0
+            continue
+        if not stack:
+            return None
+        v, used, col, delta = stack.pop()
+        colors[v] = -1
+        for w in delta:
+            neighbor_colors[w].discard(col)
+        start = col + 1
+
+
+def _ref_exact_chromatic(g):
+    n = g.node_count
+    if n == 0:
+        return OracleResult(0, Coloring(()))
+    best = _ref_greedy_dsatur(g)
+    chi = max(best) + 1
+    for k in range(_max_clique_size(g), chi):
+        sol = _ref_try_k_coloring(g, k)
+        if sol is not None:
+            best, chi = sol, k
+            break
+    return OracleResult(chi, Coloring(tuple(best)))
+
+
+def random_graph(rng):
+    """A random simple graph: sparse, dense, mid-sized with density 1/2
+    (whose exhaustive searches backtrack far enough to make the heap
+    rebuild itself), or a long ring with chords."""
+    shape = rng.choice(("sparse", "dense", "mid", "ring"))
+    n = {"sparse": rng.randint(0, 12), "dense": rng.randint(0, 12),
+         "mid": rng.randint(12, 18), "ring": rng.randint(0, 30)}[shape]
+    if shape == "ring":
+        edges = {(i, (i + 1) % n) for i in range(n)} if n > 2 else set()
+        edges |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 6)} if n > 1 else set()
+    else:
+        p = {"sparse": 0.25, "dense": 0.7, "mid": 0.5}[shape]
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    adjacency = [[] for _ in range(n)]
+    for i, j in {(min(e), max(e)) for e in edges}:
+        f = Facet((i, j))
+        adjacency[i].append((j, f))
+        adjacency[j].append((i, f))
+    return DualGraph(n, tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+
+
+def test_dsatur_heap_matches_scan_reference(monkeypatch):
+    """Greedy DSATUR, every k-coloring search (k = 0..5) and the exact
+    chromatic number agree exactly with the node-scan selection, also
+    after the heap has rebuilt itself mid-search."""
+    counts = {"states": 0, "rebuilds": 0}
+    init, rebuild = coloring._Dsatur.__init__, coloring._Dsatur._rebuild
+
+    def counted_init(self, g):
+        counts["states"] += 1
+        init(self, g)
+
+    def counted_rebuild(self):
+        counts["rebuilds"] += 1
+        rebuild(self)
+
+    monkeypatch.setattr(coloring._Dsatur, "__init__", counted_init)
+    monkeypatch.setattr(coloring._Dsatur, "_rebuild", counted_rebuild)
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(450):
+        g = random_graph(rng)
+        assert _greedy_dsatur(g) == _ref_greedy_dsatur(g), g
+        for k in range(6):
+            got = _try_k_coloring(g, k)
+            assert got == _ref_try_k_coloring(g, k), (g, k)
+            outcomes.add(got is None)
+        assert exact_chromatic(g) == _ref_exact_chromatic(g), g
+    assert outcomes == {True, False}
+    assert counts["rebuilds"] > counts["states"]
+
+
+def test_dsatur_pick_matches_scan_under_undo():
+    """After any sequence of colorings and last-in-first-out undos, the
+    heap's pick equals the scan's."""
+    rng = random.Random(77)
+    for _ in range(300):
+        g = random_graph(rng)
+        state = coloring._Dsatur(g)
+        stack = []
+        for _ in range(120):
+            uncolored = [v for v, k in enumerate(state.colors) if k < 0]
+            if uncolored:
+                assert state.pick() == _ref_dsatur_pick(g, state.colors, state.neighbor_colors)
+            if uncolored and (not stack or rng.random() < 0.6):
+                v = state.pick() if rng.random() < 0.7 else rng.choice(uncolored)
+                col = rng.randrange(4)
+                stack.append((v, col, state.assign(v, col)))
+            elif stack:
+                state.unassign(*stack.pop())

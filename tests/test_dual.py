@@ -12,7 +12,9 @@ from simplexcolor.dual import (
     find_clique,
     stats,
 )
-from simplexcolor.model import Complex, Simplex, GEOMETRIC_STRICT, validate
+from simplexcolor.coloring import color, peel, verify_coloring
+from simplexcolor.model import Coloring, Complex, Simplex, GEOMETRIC_STRICT, validate
+from simplexcolor.render import RenderOptions, render_svg
 
 
 def unit_triangle():
@@ -115,8 +117,31 @@ class TestBuildDual:
             2, verts,
             (Simplex((0, 1, 2)), Simplex((1, 2, 3)), Simplex((1, 2, 4))),
         )
-        with pytest.raises(InputError):
-            build_dual(c)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(InputError, match="shared by 3 simplices"):
+                build_dual(c)
+        assert "dual" not in vars(c)
+
+    def test_one_cached_graph_per_complex(self):
+        c = fan_k3()
+        g = build_dual(c)
+        assert build_dual(c) is g and c.dual is g
+        # An equal complex builds its own, equal graph.
+        twin = Complex(2, c.vertices, c.simplices)
+        assert build_dual(twin) is not g and build_dual(twin) == g
+
+    @pytest.mark.parametrize("reader", ["color", "verify_coloring", "render_svg"])
+    def test_pipeline_stages_share_the_graph(self, reader):
+        c, col = fan_k3(), Coloring((0, 1, 2))
+        call = {
+            "color": lambda: color(c, peel(c)),
+            "verify_coloring": lambda: verify_coloring(c, col),
+            "render_svg": lambda: render_svg(c, col, RenderOptions(show_dual=True)),
+        }[reader]
+        call()
+        g = vars(c)["dual"]
+        call()
+        assert build_dual(c) is g
 
     def test_input_order_invariance(self):
         c = fan_k3()

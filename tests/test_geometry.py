@@ -14,6 +14,7 @@ from simplexcolor.geometry import (
     Point,
     det,
     extreme_point,
+    homogeneous_orientation,
     homogeneous_row,
     hull_normal,
     orientation,
@@ -460,3 +461,31 @@ def test_hull_kernel_matches_fraction_reference(d):
     if d > 1:
         assert {flat for _, flat, _, _ in seen} == {"full", "line", "hyperplane"}
         assert any(dep for *_, dep in seen)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_homogeneous_orientation_matches_orientation(d):
+    """The integer degeneracy check reads homogeneous rows and agrees in
+    sign with `orientation`, on integer and rational simplices, including
+    affinely dependent ones (a point repeated, or moved onto the affine
+    span of the others)."""
+    rng = random.Random(900 + d)
+    signs = Counter()
+    for _ in range(400):
+        rational = rng.random() < 0.5
+
+        def coord():
+            if rational:
+                return Fraction(rng.randint(-9, 9), rng.choice(COPRIME_DENOMINATORS))
+            return Fraction(rng.randint(-3, 3))
+
+        pts = [tuple(coord() for _ in range(d)) for _ in range(d + 1)]
+        if rng.random() < 0.3:
+            # The last point as an affine combination of the others.
+            ts = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(d)]
+            pts[-1] = tuple(pts[0][k] + sum(t * (p[k] - pts[0][k]) for t, p in zip(ts, pts[1:-1]))
+                            for k in range(d))
+        expected = orientation([Point(p) for p in pts], d)
+        assert homogeneous_orientation([homogeneous_row(p) for p in pts]) == expected, pts
+        signs[expected] += 1
+    assert set(signs) == {-1, 0, 1}

@@ -136,6 +136,17 @@ class TestValidate:
         rep = validate(c)
         assert any(i.code == "coincident-vertices" for i in rep.issues)
 
+    def test_coincident_rational_vertices_paired_with_first(self):
+        half = Fraction(1, 2)
+        c = Complex(
+            2,
+            (point(half, -3), point(1, half), point(Fraction(2, 4), -3),
+             point(half, 3), point("1/2", "-3")),
+            (Simplex((0, 1, 3)),),
+        )
+        found = [i.where for i in validate(c).issues if i.code == "coincident-vertices"]
+        assert found == [(0, 2), (0, 4)]
+
     def test_abstract_tetra_boundary_overlaps_in_plane(self):
         c = tetra_boundary_in_plane()
         assert validate(c, COMBINATORIAL).ok
