@@ -29,12 +29,7 @@ def _fmt_detect(path: str) -> str:
 
 
 def cmd_generate(args) -> int:
-    size = args.size
-    if args.cells is not None:
-        size = args.cells
-    if args.points is not None:
-        size = args.points
-    spec = GeneratorSpec(args.kind, args.dim, size, args.seed)
+    spec = GeneratorSpec(args.kind, args.dim, args.size, args.seed)
     c = generate(spec)
     save(c, args.output, format=_fmt_detect(args.output))
     print(f"wrote {args.output}: dimension {c.dimension}, "
@@ -160,12 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a test complex")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--size", type=int, default=1,
-                   help="size parameter (simplices, rows, points or cells per kind)")
-    p.add_argument("--cells", type=int, default=None,
-                   help="alias for --size (freudenthal cells per side)")
-    p.add_argument("--points", type=int, default=None,
-                   help="alias for --size (delaunay2d point count)")
+    # --size must come first: its default is the one argparse keeps.
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--size", type=int, default=1,
+                      help="size parameter (simplices, rows, points or cells per kind)")
+    size.add_argument("--cells", dest="size", type=int,
+                      help="alias for --size (freudenthal cells per side)")
+    size.add_argument("--points", dest="size", type=int,
+                      help="alias for --size (delaunay2d point count)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_generate)

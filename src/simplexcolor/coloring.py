@@ -17,14 +17,13 @@ current face sits on the hull, which forces that facet to be unglued.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
 from .dual import DualGraph, build_dual
 from .errors import ColoringError, InputError, InvariantError, UnrealizableComplexError
 from .geometry import extreme_point, hull_normal
-from .model import Coloring, Complex, Facet, _is_int, _naming, _read_json
+from .model import Coloring, Complex, Facet, _is_int, _naming, _read_json, _write_json
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC = "geometric"
@@ -75,9 +74,7 @@ def certificate_from_dict(data: dict) -> PeelCertificate:
 
 
 def save_certificate(cert: PeelCertificate, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_dict(cert), fh, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(path, certificate_to_dict(cert))
 
 
 def load_certificate(path: str) -> PeelCertificate:
@@ -394,12 +391,9 @@ class _Dsatur:
 
 
 def _greedy_dsatur(g: DualGraph) -> list[int]:
-    n = g.node_count
-    state = _Dsatur(g)
-    for _ in range(n):
-        v = state.pick()
-        state.assign(v, next(k for k in range(n + 1) if k not in state.neighbor_colors[v]))
-    return state.colors
+    """DSATUR's greedy coloring: with as many colors as nodes the search
+    never backtracks, and each pick takes its smallest free color."""
+    return _try_k_coloring(g, g.node_count)
 
 
 def _max_clique_size(g: DualGraph) -> int:

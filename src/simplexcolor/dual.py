@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .errors import InputError
-from .geometry import Hyperplane, facet_normal, homogeneous_row, side_of
+from .geometry import facet_normal
 from .model import Complex, Facet
 
 
@@ -143,14 +144,6 @@ def find_all_cliques(g: DualGraph, r: int) -> list[list[int]]:
     return list(_cliques(g, r))
 
 
-def _hyperplane_through(c: Complex, ids: list[int]) -> Hyperplane:
-    """The hyperplane spanned by d affinely independent vertices."""
-    h = facet_normal([homogeneous_row(c.vertices[i].coords) for i in ids])
-    if not any(h):
-        raise InputError(f"vertices {ids} do not span a hyperplane")
-    return Hyperplane(tuple(h[:-1]), -h[-1])
-
-
 def analyze_max_clique_configuration(c: Complex, clique: list[int]) -> CliqueReport:
     """Check the two structural facts about a K_{d+1} of glued simplices.
 
@@ -189,8 +182,11 @@ def analyze_max_clique_configuration(c: Complex, clique: list[int]) -> CliqueRep
     first = min(clique)
     base_ids = sorted(id_sets[first] - {apex})
     outside = next(iter(union - id_sets[first]))
-    h = _hyperplane_through(c, base_ids)
-    side_apex = side_of(h, c.vertices[apex])
-    side_outside = side_of(h, c.vertices[outside])
-    halfspace_ok = side_apex != 0 and side_apex == side_outside
+    rows = c.homogeneous
+    h = facet_normal([rows[i] for i in base_ids])
+    if not any(h):
+        raise InputError(f"vertices {base_ids} do not span a hyperplane")
+    # h · (p·q, q) is q > 0 times p's side: a positive product means one strict side.
+    side_apex, side_outside = (sum(map(mul, h, rows[v])) for v in (apex, outside))
+    halfspace_ok = side_apex * side_outside > 0
     return CliqueReport(tuple(sorted(clique)), frozenset(union), True, halfspace_ok)

@@ -37,8 +37,11 @@ BOUNDARY_ABSTRACT = "boundary-abstract"
 
 KINDS = (FAN, CLOSED_FAN, TRI_TILING, DELAUNAY2D, FREUDENTHAL, PATH, BOUNDARY_ABSTRACT)
 
-# Most simplices one spec may ask for; checked before anything is built.
+# Most simplices, and most vertex coordinates plus simplex ids, one spec may
+# ask for; checked before anything is built.  The second bounds high d: a
+# fan in dimension d has about d^2 coordinates however few simplices it has.
 MAX_SIMPLICES = 10**6
+MAX_ENTRIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ def _simplex_count(spec: GeneratorSpec) -> int:
         count = 1  # m^d cells of d! simplices: the product of m*k, k = 1..d
         for k in range(1, d + 1):
             count *= size * k
-            if count > MAX_SIMPLICES:
+            if not count or count > MAX_SIMPLICES:
                 break
         return count
     if spec.kind == BOUNDARY_ABSTRACT:
@@ -69,12 +72,26 @@ def _simplex_count(spec: GeneratorSpec) -> int:
     return size
 
 
+def _vertex_count(spec: GeneratorSpec) -> int:
+    """Vertices the spec asks for (at most, for delaunay2d); for freudenthal
+    only as far as needed to exceed MAX_ENTRIES: for m >= 1, 2^64 does."""
+    d, size = max(spec.dimension, 0), max(spec.size, 0)
+    counts = {TRI_TILING: (size + 1) ** 2, DELAUNAY2D: size, FREUDENTHAL: (size + 1) ** min(d, 64),
+              PATH: size + d, BOUNDARY_ABSTRACT: d + 2}
+    return counts.get(spec.kind, size + d - 1)  # a ring of `size` around a hinge of d - 1
+
+
 def generate(spec: GeneratorSpec) -> Complex:
     d, size = spec.dimension, spec.size
-    if _simplex_count(spec) > MAX_SIMPLICES:
+    if spec.kind in (CLOSED_FAN, TRI_TILING, DELAUNAY2D) and d != 2:
+        # Checked before the cap, which counts coordinates in dimension d.
+        raise InputError(f"{spec.kind} is a planar kind (dimension 2)")
+    simplices = _simplex_count(spec)
+    if simplices > MAX_SIMPLICES or _vertex_count(spec) * d + simplices * (d + 1) > MAX_ENTRIES:
         raise InputError(
-            f"{spec.kind} of size {size} would build more than {MAX_SIMPLICES} "
-            f"simplices (the generator cap)"
+            f"{spec.kind} of size {size} in dimension {d} would build more than "
+            f"{MAX_SIMPLICES} simplices or {MAX_ENTRIES} vertex coordinates and ids "
+            f"(the generator cap)"
         )
     if spec.kind == FAN:
         if d < 2:
@@ -83,20 +100,14 @@ def generate(spec: GeneratorSpec) -> Complex:
             raise InputError("fan requires at least 3 simplices")
         return _ring(d, size)
     if spec.kind == CLOSED_FAN:
-        if d != 2:
-            raise InputError("closed-fan is a planar kind (dimension 2)")
         if size < 3:
             raise InputError("closed-fan requires at least 3 triangles")
         return _ring(2, size)
     if spec.kind == TRI_TILING:
-        if d != 2:
-            raise InputError("tri-tiling is a planar kind (dimension 2)")
         if size < 1:
             raise InputError("tri-tiling requires at least 1 row")
         return _tri_tiling(size)
     if spec.kind == DELAUNAY2D:
-        if d != 2:
-            raise InputError("delaunay2d is a planar kind (dimension 2)")
         if size < 3:
             raise InputError("delaunay2d requires at least 3 points")
         return _delaunay2d(size, spec.seed)

@@ -69,7 +69,7 @@ class Point:
 
 
 def point(*coords) -> Point:
-    return Point(tuple(rational(c) for c in coords))
+    return Point(coords)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .geometry import (
-    Point, clear_denominators, homogeneous_orientation, homogeneous_row, int_orientation, rational,
+    Point, clear_denominators, homogeneous_orientation, homogeneous_row, int_orientation,
 )
 
 if TYPE_CHECKING:
@@ -33,17 +33,9 @@ COMBINATORIAL = "combinatorial"
 GEOMETRIC_STRICT = "geometric-strict"
 
 
-@dataclass(frozen=True, order=True)
-class Facet:
-    """A (d-1)-face: d strictly increasing vertex indices."""
-
-    vertex_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        ids = tuple(int(i) for i in self.vertex_ids)
-        object.__setattr__(self, "vertex_ids", ids)
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise InputError(f"facet ids must be strictly increasing: {ids}")
+def _is_int(x) -> bool:
+    """An integer as JSON decodes one: bool is an int subclass but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, order=True)
@@ -53,10 +45,12 @@ class Simplex:
     vertex_ids: tuple[int, ...]
 
     def __post_init__(self):
-        ids = tuple(int(i) for i in self.vertex_ids)
+        ids = tuple(self.vertex_ids)
         object.__setattr__(self, "vertex_ids", ids)
+        if not all(map(_is_int, ids)):
+            raise InputError(f"{type(self).__name__.lower()} ids must be integers: {ids}")
         if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise InputError(f"simplex ids must be strictly increasing: {ids}")
+            raise InputError(f"{type(self).__name__.lower()} ids must be strictly increasing: {ids}")
 
     def facet_ids(self) -> tuple[tuple[int, ...], ...]:
         """The facets' vertex ids, leaving out vertex k = 0..d in turn."""
@@ -65,6 +59,10 @@ class Simplex:
 
     def facets(self) -> tuple[Facet, ...]:
         return tuple(Facet(f) for f in self.facet_ids())
+
+
+class Facet(Simplex):
+    """A (d-1)-face: d strictly increasing vertex indices."""
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,9 @@ class Complex:
     @cached_property
     def homogeneous(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex as the integer row (p·q, q), q > 0 the LCM of that
-        vertex's own denominators: the rows validation's degeneracy check
-        and the geometric peel's hull test read.  Built on first use and
-        shared like facet_owners."""
+        vertex's own denominators: the rows validation's degeneracy check,
+        the geometric peel's hull test and the halfspace check read.  Built
+        on first use and shared like facet_owners."""
         return tuple(homogeneous_row(p.coords) for p in self.vertices)
 
     @cached_property
@@ -138,7 +136,9 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        object.__setattr__(self, "colors", tuple(self.colors))
+        if not all(map(_is_int, self.colors)):
+            raise InputError("colors must be integers")
 
 
 @dataclass(frozen=True)
@@ -349,11 +349,6 @@ def complex_to_dict(c: Complex) -> dict:
     }
 
 
-def _is_int(x) -> bool:
-    """An integer as JSON decodes one: bool is an int subclass but not one."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _rows(data: dict, key: str) -> list[list]:
     rows = data[key]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -375,7 +370,7 @@ def complex_from_dict(data: dict) -> Complex:
     if any(isinstance(x, bool) for row in vertex_rows for x in row):
         raise InputError("a vertex coordinate is a boolean, not a number")
     try:
-        vertices = tuple(Point(tuple(rational(x) for x in row)) for row in vertex_rows)
+        vertices = tuple(Point(row) for row in vertex_rows)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad complex JSON: {exc}") from exc
     return Complex(d, vertices, tuple(Simplex(tuple(row)) for row in simplex_rows))
@@ -429,10 +424,11 @@ def _load_json(path: str) -> Complex:
     return complex_from_dict(_read_json(path))
 
 
-def _save_json(c: Complex, path: str) -> None:
+def _write_json(path: str, data) -> None:
+    """Compact JSON plus a newline: the one writer for complexes, colorings
+    and certificates."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(complex_to_dict(c), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(data, separators=(",", ":")) + "\n")
 
 
 def _parse_off_number(token: str, path: str, lineno: int) -> Fraction:
@@ -492,12 +488,6 @@ def _load_off(path: str) -> Complex:
     return Complex(2, tuple(vertices), tuple(simplices))
 
 
-def _off_coord(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _save_off(c: Complex, path: str) -> None:
     if c.dimension != 2:
         raise InputError("OFF export supports only dimension-2 complexes")
@@ -505,7 +495,7 @@ def _save_off(c: Complex, path: str) -> None:
         fh.write("OFF\n")
         fh.write(f"{len(c.vertices)} {len(c.simplices)} 0\n")
         for p in c.vertices:
-            fh.write(f"{_off_coord(p[0])} {_off_coord(p[1])} 0\n")
+            fh.write(f"{_coord_to_json(p[0])} {_coord_to_json(p[1])} 0\n")
         for s in c.simplices:
             fh.write("3 " + " ".join(str(i) for i in s.vertex_ids) + "\n")
 
@@ -520,7 +510,7 @@ def load(path: str, format: str = JSON_FORMAT) -> Complex:
 
 def save(c: Complex, path: str, format: str = JSON_FORMAT) -> None:
     if format == JSON_FORMAT:
-        _save_json(c, path)
+        _write_json(path, complex_to_dict(c))
     elif format == OFF_FORMAT:
         _save_off(c, path)
     else:
@@ -528,9 +518,7 @@ def save(c: Complex, path: str, format: str = JSON_FORMAT) -> None:
 
 
 def save_coloring(col: Coloring, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coloring_to_dict(col), fh, separators=(",", ":"))
-        fh.write("\n")
+    _write_json(path, coloring_to_dict(col))
 
 
 def load_coloring(path: str) -> Coloring:

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from simplexcolor.cli import main
-from simplexcolor.generators import GeneratorSpec, generate
+from simplexcolor.generators import MAX_ENTRIES, GeneratorSpec, generate
 from simplexcolor.model import load, save
 from simplexcolor.render import RenderOptions, render_svg
 
@@ -53,6 +53,33 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "fan" in err and "100000000" in err and "1000000" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["fan", "path", "boundary-abstract"])
+    def test_dimension_cap_exit_2_at_once(self, tmp_path, capsys, kind):
+        # Few simplices, but about 10^8 coordinates or ids in dimension 10^4.
+        path = tmp_path / "huge.json"
+        t0 = time.perf_counter()
+        assert run("generate", "--kind", kind, "--dim", "10000", "--size", "3",
+                   "-o", str(path)) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert kind in err and "dimension 10000 " in err and str(MAX_ENTRIES) in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("sizes", [("--size", "5", "--cells", "3"),
+                                       ("--cells", "2", "--points", "40")])
+    def test_size_spellings_conflict_exit_2(self, tmp_path, sizes):
+        path = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--kind", "freudenthal", "--dim", "2", *sizes, "-o", str(path))
+        assert exc.value.code == 2
+        assert not path.exists()
+
+    def test_points_alone_sets_size(self, tmp_path):
+        path = str(tmp_path / "d.json")
+        assert run("generate", "--kind", "delaunay2d", "--dim", "2", "--points", "40",
+                   "-o", path) == 0
+        assert len(load(path).vertices) == 40
 
 
 class TestColorVerify:

@@ -62,15 +62,15 @@ def freudenthal_unit_cube():
     return Complex(3, verts, tuple(simplices))
 
 
-def four_tetrahedra_k4():
+def four_tetrahedra_k4(fifth_z=2):
     """Four tetrahedra whose dual is K_4: base tet plus three around the
-    segment from the apex to a fifth point above it."""
+    segment from the apex to a fifth point, by default above it."""
     verts = (
         point(Fraction(1, 4), Fraction(1, 4), 1),   # apex
         point(0, 0, 0),
         point(1, 0, 0),
         point(0, 1, 0),
-        point(Fraction(1, 4), Fraction(1, 4), 2),   # above the apex
+        point(Fraction(1, 4), Fraction(1, 4), fifth_z),
     )
     simplices = tuple(
         Simplex(ids) for ids in ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4))
@@ -236,6 +236,14 @@ class TestAnalyzeKd1:
         base = Hyperplane((0, 0, 1), 0)
         assert side_of(base, c.vertices[0]) == 1
         assert side_of(base, c.vertices[4]) == 1
+
+    @pytest.mark.parametrize("fifth_z", [-1, 0])
+    def test_four_tetrahedra_fifth_point_below_or_on_base(self, fifth_z):
+        # The same K_4 labels with the fifth point moved below the base
+        # plane z = 0, or onto it: the side condition fails either way.
+        rep = analyze_max_clique_configuration(four_tetrahedra_k4(fifth_z), [0, 1, 2, 3])
+        assert rep.vertex_count_ok
+        assert not rep.halfspace_condition_ok
 
     def test_halfspace_flag_false_for_folded_fan(self):
         # Same labels as the K_3 fan but the third outer point pulled inside

@@ -17,6 +17,7 @@ from simplexcolor.generators import (
     MAX_SIMPLICES,
     GeneratorSpec,
     _simplex_count,
+    _vertex_count,
     generate,
 )
 from simplexcolor.geometry import det
@@ -298,3 +299,17 @@ def test_simplex_count_matches_generated(spec):
 def test_size_cap_rejects_before_building(spec):
     with pytest.raises(InputError, match=f"{spec.kind} of size {spec.size} .* {MAX_SIMPLICES} simplices"):
         generate(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(FAN, 2, 5), GeneratorSpec(FAN, 7, 3), GeneratorSpec(CLOSED_FAN, 2, 4),
+    GeneratorSpec(TRI_TILING, 2, 4), GeneratorSpec(FREUDENTHAL, 2, 3),
+    GeneratorSpec(FREUDENTHAL, 1, 5), GeneratorSpec(PATH, 4, 1),
+    GeneratorSpec(BOUNDARY_ABSTRACT, 4), GeneratorSpec(DELAUNAY2D, 2, 40, seed=2),
+])
+def test_vertex_count_matches_generated(spec):
+    built = len(generate(spec).vertices)
+    if spec.kind == DELAUNAY2D:
+        assert built <= _vertex_count(spec)
+    else:
+        assert built == _vertex_count(spec)

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from simplexcolor.coloring import color, peel, save_certificate
 from simplexcolor.errors import InputError
 from simplexcolor.generators import GeneratorSpec, generate
 from simplexcolor.geometry import point
@@ -73,6 +74,33 @@ class TestStructure:
     def test_vertex_dimension_checked(self):
         with pytest.raises(InputError):
             Complex(2, (point(0, 0, 0),), ())
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("cls, entries", [
+        (Simplex, (0, 1.7, 3)), (Simplex, (0, True, 3)), (Simplex, ("0", 1, 2)),
+        (Facet, (0.5, 2)), (Facet, (0, 2.0)), (Coloring, (1.9, True)), (Coloring, (0, "1")),
+    ])
+    def test_non_integer_entries_rejected(self, cls, entries):
+        # int() would truncate these silently: (0, 1.7, 3) to (0, 1, 3).
+        with pytest.raises(InputError, match="must be integers"):
+            cls(entries)
+
+    def test_complex_rejects_non_integer_simplex_ids(self):
+        with pytest.raises(InputError, match="simplex ids must be integers"):
+            Complex(2, (point(0, 0), point(1, 0), point(0, 1)), ((0, 1.9, 2),))
+
+    def test_facet_is_a_simplex_with_its_own_name(self):
+        f = Facet((0, 2))
+        assert isinstance(f, Simplex)
+        assert f == Facet([0, 2]) and hash(f) == hash(Facet((0, 2)))
+        assert f != Simplex((0, 2))
+        assert sorted([Facet((1, 2)), Facet((0, 3))]) == [Facet((0, 3)), Facet((1, 2))]
+        assert repr(f) == "Facet(vertex_ids=(0, 2))"
+        with pytest.raises(InputError, match=r"^facet ids must be strictly increasing: \(2, 0\)$"):
+            Facet((2, 0))
+        with pytest.raises(InputError, match=r"^simplex ids must be strictly increasing"):
+            Simplex((0, 2, 1))
 
 
 class TestValidate:
@@ -386,6 +414,23 @@ class TestSerialization:
         path = str(tmp_path / "c.off")
         save(c, path, format="off")
         assert load(path, format="off") == c
+
+    def test_written_bytes(self, tmp_path):
+        verts = (point(0, 0), point(1, 0), point(0, 1), point(Fraction(3, 2), 1))
+        c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3))))
+        cert = peel(c)
+        save(c, str(tmp_path / "c.json"))
+        save(c, str(tmp_path / "c.off"), format="off")
+        save_coloring(color(c, cert), str(tmp_path / "col.json"))
+        save_certificate(cert, str(tmp_path / "cert.json"))
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert written == {
+            "c.json": b'{"dimension":2,"vertices":[[0,0],[1,0],[0,1],["3/2",1]],'
+                      b'"simplices":[[0,1,2],[1,2,3]]}\n',
+            "c.off": b"OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n3/2 1 0\n3 0 1 2\n3 1 2 3\n",
+            "col.json": b'{"colors":[1,0]}\n',
+            "cert.json": b'{"method":"combinatorial","steps":[[0,[0,1]],[1,[1,2]]]}\n',
+        }
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(InputError):
