@@ -259,7 +259,9 @@ def _peel_geometric(c: Complex) -> PeelCertificate:
         while not count[order[cursor]]:
             cursor += 1
         v = order[cursor]
-        i, witness = _descend(c, v, [j for j in star[v] if j in live], live)
+        # Written back, so each star only shrinks; _descend never mutates it.
+        star[v] = [j for j in star[v] if j in live]
+        i, witness = _descend(c, v, star[v], live)
         steps.append((i, witness))
         live.remove(i)
         for u in c.simplices[i].vertex_ids:

@@ -13,14 +13,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import lcm, prod
 from operator import lt, mul
 from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .geometry import (
-    Point, clear_denominators, homogeneous_orientation, homogeneous_row, int_orientation,
+    Point, homogeneous_orientation, homogeneous_row, int_orientation,
 )
 
 if TYPE_CHECKING:
@@ -213,21 +213,72 @@ def _sat_axes(a, b, d: int):
                 yield _cross3(ea, eb)
 
 
-def _interiors_overlap(ids_a, a, ids_b, b, d: int) -> bool:
-    """Exact overlap test of two non-degenerate simplices in integer
-    coordinates of one common scale.
+def _wedges_overlap(a1, a2, b1, b2) -> bool:
+    """Whether the planar wedges spanned at the origin by the integer
+    vectors a1, a2 and by b1, b2 (each pair independent) have overlapping
+    interiors.
 
-    Glued pairs (d shared ids) overlap exactly when the two opposite
-    vertices lie strictly on the same side of the shared facet.  Other pairs
-    run SAT: convex simplices have disjoint interiors iff some axis
+    Turn both wedges counterclockwise, from a1 to a2 and from b1 to b2;
+    each spans less than a half turn.  If their interiors are disjoint, B
+    lies in the turn from a2 round to a1.  If B then starts less than a
+    half turn after a1, the line through b1 separates the wedges, and
+    otherwise the line through a1 does.  So five cross products decide.
+    """
+    (a1x, a1y), (a2x, a2y), (b1x, b1y), (b2x, b2y) = a1, a2, b1, b2
+    if a1x * a2y < a1y * a2x:
+        a1x, a1y, a2x, a2y = a2x, a2y, a1x, a1y
+    if b1x * b2y < b1y * b2x:
+        b1x, b1y, b2x, b2y = b2x, b2y, b1x, b1y
+    s11 = a1x * b1y - a1y * b1x  # the side of b1 from the line through a1
+    if s11 <= 0 and a1x * b2y - a1y * b2x <= 0:
+        return False  # the line through a1 separates
+    return not (s11 >= 0 and a2x * b1y - a2y * b1x >= 0)  # through b1
+
+
+def _along_ridge(ridge, others):
+    """A simplex's two vertices outside the ridge it shares with another
+    simplex (d - 1 = 1 or 2 vertices, in id order), as planar vectors seen
+    along the ridge: minus its first vertex o, and in 3D projected along its
+    edge e onto a coordinate plane that e crosses.  The projection scales
+    every orientation det(e, u, w) by the same factor e_k, and from one
+    simplex's scale to the other's e changes by a positive factor only."""
+    o = ridge[0]
+    if len(o) == 2:
+        return [(p[0] - o[0], p[1] - o[1]) for p in others]
+    e = [x - y for x, y in zip(ridge[1], o)]
+    k = 2 if e[2] else 1 if e[1] else 0
+    i, j = (k + 1) % 3, (k + 2) % 3
+    return [(e[k] * (p[i] - o[i]) - (p[k] - o[k]) * e[i],
+             e[k] * (p[j] - o[j]) - (p[k] - o[k]) * e[j]) for p in others]
+
+
+def _interiors_overlap(ids_a, scaled_a, ids_b, scaled_b, d: int) -> bool:
+    """Exact overlap test of two non-degenerate simplices, each given as
+    (scale, integer coordinates): its points times the scale.
+
+    A hyperplane that separates the pair contains every shared vertex.  So
+    glued pairs (d shared ids) overlap exactly when the two opposite
+    vertices lie strictly on the same side of the shared facet, and pairs
+    sharing a ridge (d - 1 ids, d >= 2) by the hyperplanes through the
+    ridge and one other vertex (`_wedges_overlap`); both read
+    each simplex in its own scale.  Other pairs run SAT at the LCM of the
+    two scales: convex simplices have disjoint interiors iff some axis
     separates them in the closed sense (touching allowed).
     """
-    shared = [k for k, v in enumerate(ids_a) if v in ids_b]
-    if len(shared) == d:
-        facet = [a[k] for k in shared]
-        apex_a = next(a[k] for k, v in enumerate(ids_a) if v not in ids_b)
-        apex_b = next(b[k] for k, v in enumerate(ids_b) if v not in ids_a)
-        return int_orientation(facet + [apex_a]) == int_orientation(facet + [apex_b])
+    (s_a, a), (s_b, b) = scaled_a, scaled_b
+    shared_a, others_a, shared_b, others_b = [], [], [], []
+    for v, p in zip(ids_a, a):
+        (shared_a if v in ids_b else others_a).append(p)
+    if shared_a and d - 1 <= len(shared_a) <= d:  # a duplicate, d + 1, runs SAT
+        for v, p in zip(ids_b, b):
+            (shared_b if v in ids_a else others_b).append(p)
+        if len(shared_a) == d:
+            return int_orientation(shared_a + others_a) == int_orientation(shared_b + others_b)
+        return _wedges_overlap(*_along_ridge(shared_a, others_a), *_along_ridge(shared_b, others_b))
+    if s_a != s_b:
+        common = lcm(s_a, s_b)
+        a = [[x * (common // s_a) for x in p] for p in a]
+        b = [[x * (common // s_b) for x in p] for p in b]
     for axis in _sat_axes(a, b, d):
         if not any(axis):
             continue
@@ -238,13 +289,40 @@ def _interiors_overlap(ids_a, a, ids_b, b, d: int) -> bool:
     return True
 
 
-def _overlapping_pairs(c: Complex, live: list[int]):
-    """Pairs (i, j), i < j, of live simplices with overlapping interiors.
+def _box_cells(boxes, d: int):
+    """A uniform grid over axes 1..d-1 of sorted rank boxes (lo, hi, i):
+    cell -> the entries (position, lo, hi, i, home) of the boxes whose
+    interiors reach into it, by position, where home is the cell of lo.  A
+    cell is twice the median box extent wide on each axis.  While that would
+    store more than 2^d entries per box (a few huge boxes among small ones),
+    the cells double on every axis.  For d = 1 the grid is one cell."""
+    widths = [2 * sorted(hi[k] - lo[k] for lo, hi, _ in boxes)[len(boxes) // 2]
+              for k in range(1, d)]
 
-    Broad phase: an x-sweep over bounding boxes in axis ranks.  Narrow
-    phase: each simplex gets integer coordinates once, scaled by the LCM of
-    its own denominators; a pair with different scales is rescaled to the
-    LCM of the two.
+    def spans(lo, hi):
+        return [range(lo[k] // w, (hi[k] - 1) // w + 1) for k, w in zip(range(1, d), widths)]
+
+    while sum(prod(map(len, spans(lo, hi))) for lo, hi, _ in boxes) > 2 ** d * len(boxes):
+        widths = [2 * w for w in widths]
+    cells: dict[tuple[int, ...], list] = {}
+    for pos, (lo, hi, i) in enumerate(boxes):
+        ranges = spans(lo, hi)
+        entry = (pos, lo, hi, i, tuple(r.start for r in ranges))
+        for cell in product(*ranges):
+            cells.setdefault(cell, []).append(entry)
+    return cells
+
+
+def _overlapping_pairs(c: Complex, live: list[int]):
+    """Pairs (i, j), i < j, of live simplices with overlapping interiors,
+    ordered by the positions of their boxes in the lower-corner order.
+
+    Broad phase: bounding boxes in axis ranks, bucketed by `_box_cells`,
+    with an x-sweep inside each cell.  Two boxes whose interiors meet both
+    reach the per-axis maximum of their lower corners, and the pair is
+    tested only in the cell holding that point.  Narrow phase: each simplex
+    gets integer coordinates once, from the cached homogeneous rows of its
+    vertices scaled to the LCM of their weights, for `_interiors_overlap`.
     """
     d = c.dimension
     ranks = _axis_ranks(c)
@@ -252,23 +330,34 @@ def _overlapping_pairs(c: Complex, live: list[int]):
     for i in live:
         corners = [ranks[v] for v in c.simplices[i].vertex_ids]
         boxes.append((tuple(map(min, *corners)), tuple(map(max, *corners)), i))
+    if len(boxes) < 2:
+        return
     boxes.sort(key=lambda entry: entry[0])
-    scaled = {i: clear_denominators(p.coords for p in c.simplex_points(i)) for i in live}
-    for a, (lo_i, hi_i, i) in enumerate(boxes):
-        for b in range(a + 1, len(boxes)):
-            lo_j, hi_j, j = boxes[b]
-            if lo_j[0] >= hi_i[0]:
-                break
-            if not (all(map(lt, lo_j, hi_i)) and all(map(lt, lo_i, hi_j))):
-                continue
-            (s_i, pts_i), (s_j, pts_j) = scaled[i], scaled[j]
-            if s_i != s_j:
-                common = lcm(s_i, s_j)
-                pts_i = [[x * (common // s_i) for x in p] for p in pts_i]
-                pts_j = [[x * (common // s_j) for x in p] for p in pts_j]
-            ids_i, ids_j = c.simplices[i].vertex_ids, c.simplices[j].vertex_ids
-            if _interiors_overlap(ids_i, pts_i, ids_j, pts_j, d):
-                yield min(i, j), max(i, j)
+    rows, simplices = c.homogeneous, c.simplices
+    scaled = {}
+    for i in live:
+        corners = [rows[v] for v in simplices[i].vertex_ids]
+        q = lcm(*(row[d] for row in corners))
+        scaled[i] = q, [[x * (q // row[d]) for x in row[:d]] for row in corners]
+    found = []
+    for cell, members in _box_cells(boxes, d).items():
+        for m, (a, lo_i, hi_i, i, home_i) in enumerate(members):
+            x_end = hi_i[0]
+            for t in range(m + 1, len(members)):
+                b, lo_j, hi_j, j, home_j = members[t]
+                if lo_j[0] >= x_end:
+                    break
+                if not (all(map(lt, lo_j, hi_i)) and all(map(lt, lo_i, hi_j))):
+                    continue
+                if tuple(map(max, home_i, home_j)) != cell:
+                    continue  # this pair is tested in another cell
+                if _interiors_overlap(simplices[i].vertex_ids, scaled[i],
+                                      simplices[j].vertex_ids, scaled[j], d):
+                    found.append((a, b))
+    found.sort()
+    for a, b in found:
+        i, j = boxes[a][2], boxes[b][2]
+        yield min(i, j), max(i, j)
 
 
 def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
@@ -276,7 +365,13 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
 
     combinatorial: non-degenerate simplices, facet multiplicity <= 2, no
     duplicate simplices, distinct coordinates for distinct vertex ids.
-    geometric-strict: additionally pairwise interior-disjointness (d <= 3).
+    geometric-strict: additionally pairwise interior-disjointness (d <= 3),
+    reported pair by pair in the order of the simplices' bounding boxes.
+    Boxes are compared in a grid over axes 1..d-1 with an x-sweep in each
+    cell.  Pairs sharing d ids are decided by the sides of the shared
+    facet, pairs sharing d - 1 ids by the hyperplanes through the shared
+    ridge and one other vertex, and the rest by the separating-axis test,
+    all in exact integer arithmetic.
     """
     if level not in (COMBINATORIAL, GEOMETRIC_STRICT):
         raise InputError(f"unknown validation level {level!r}")

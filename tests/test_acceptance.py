@@ -1,11 +1,12 @@
 """Acceptance suite.
 
 One test per acceptance criterion, plus strict validation of the larger
-planar instances and the geometric peel at scale, each printing a PASS line
-with the measured numbers (run with `pytest -s tests/test_acceptance.py` to
-see them).  Tolerances are exact wherever rational arithmetic decides, and
-the only timing budget is 10 seconds per ten-thousand simplex instance, for
-the color pipeline and for the geometric peel.
+planar and 3D instances and the geometric peel at scale, each printing a
+PASS line with the measured numbers (run with `pytest -s
+tests/test_acceptance.py` to see them).  Tolerances are exact wherever
+rational arithmetic decides, and the only timing budget is 10 seconds per
+big instance, for the color pipeline, for the geometric peel and for 3D
+strict validation.
 """
 
 import time
@@ -57,7 +58,7 @@ from simplexcolor.render import RenderOptions, render_svg
 from simplexcolor.coloring import verify_coloring
 
 BIG = 9000          # instances at the 10^4 scale
-TIME_BUDGET = 10.0  # seconds per big instance: peel+color+verify, or geometric peel
+TIME_BUDGET = 10.0  # seconds per big instance and timed stage (see above)
 DELAUNAY_SEEDS = 50
 
 
@@ -102,7 +103,7 @@ def _build_corpus():
     for d, sizes in ((2, (3, 4, 7, 50, 10000)), (3, (3, 6, 40)), (4, (5, 30))):
         for k in sizes:
             add(FAN, d, k)
-    for n in (3, 4, 5, 6, 12, 10000):
+    for n in (3, 4, 5, 6, 12, 1000, 10000):
         add(CLOSED_FAN, 2, n)
     for m in (1, 2, 5, 71):
         add(TRI_TILING, 2, m)
@@ -249,6 +250,7 @@ def test_strict_validation_of_large_planar_instances(corpus):
         "freudenthal-d2-s71-seed0",
         "path-d2-s10000-seed0",
         "delaunay2d-d2-s1000-seed48",
+        "closed-fan-d2-s1000-seed0",
     )
     by_label = {label: c for label, _kind, _d, c in corpus}
     times = []
@@ -259,6 +261,26 @@ def test_strict_validation_of_large_planar_instances(corpus):
         times.append(f"{label} ({len(c.simplices)}) {time.perf_counter() - t0:.2f}s")
         assert report.ok, (label, report.summary())
     print("PASS strict validation: " + ", ".join(times))
+
+
+def test_strict_validation_of_large_3d_instances(corpus):
+    """Freudenthal d3 m12 (10368 simplices) and the 1000-tetrahedron fan,
+    all of whose tetrahedra share the hub edge, pass geometric-strict
+    validation within the time budget."""
+    by_label = {label: c for label, _kind, _d, c in corpus}
+    cases = [
+        ("freudenthal-d3-s12-seed0", by_label["freudenthal-d3-s12-seed0"]),
+        ("fan-d3-s1000-seed0", generate(GeneratorSpec(FAN, 3, 1000))),
+    ]
+    times = []
+    for label, c in cases:
+        t0 = time.perf_counter()
+        report = validate(c, GEOMETRIC_STRICT)
+        elapsed = time.perf_counter() - t0
+        assert report.ok, (label, report.summary())
+        assert elapsed < TIME_BUDGET, (label, elapsed)
+        times.append(f"{label} ({len(c.simplices)}) {elapsed:.2f}s")
+    print("PASS strict validation in 3D: " + ", ".join(times))
 
 
 def test_criterion_3_no_forbidden_clique(corpus):

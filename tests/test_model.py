@@ -20,6 +20,7 @@ from simplexcolor.model import (
     Issue,
     Simplex,
     ValidationReport,
+    _box_cells,
     coloring_from_dict,
     complex_from_dict,
     facet_multiplicity,
@@ -661,3 +662,176 @@ def test_many_degenerate_simplices_reported_once_each():
     codes = [i.code for i in rep.issues]
     assert codes.count("degenerate-simplex") == 3000
     assert "interior-overlap" not in codes
+
+
+# ---------------------------------------------------------------------------
+# Pairs sharing a ridge (d - 1 vertex ids) on its boundary cases, and the
+# order in which overlapping pairs are reported
+
+
+def check_pairs_against_oracle(d, verts, pairs):
+    """Each (ids_a, ids_b, overlap) over one vertex table: the strict report
+    flags the pair exactly when the Fraction SAT oracle does, and the oracle
+    agrees with the stated verdict."""
+    vertices = tuple(point(*v) for v in verts)
+    for ids_a, ids_b, overlap in pairs:
+        c = Complex(d, vertices, (Simplex(ids_a), Simplex(ids_b)))
+        expected = oracle_interiors_overlap([p.coords for p in c.simplex_points(0)],
+                                            [p.coords for p in c.simplex_points(1)], d)
+        assert expected == overlap, (ids_a, ids_b)
+        assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == overlap, (ids_a, ids_b)
+
+
+def test_shared_vertex_with_edges_on_one_ray():
+    # A = (0,0) (2,0) (1,2); B shares (0,0) and has an edge on the ray of A's
+    # edge along +x, reaching past A's edge or ending inside it.
+    verts = [(0, 0), (2, 0), (1, 2), (3, 0), (1, 0), (1, -2), (3, 1), (2, 1)]
+    check_pairs_against_oracle(2, verts, [
+        ((0, 1, 2), (0, 3, 5), False),  # B below the common ray
+        ((0, 1, 2), (0, 3, 6), True),   # B above it, over A
+        ((0, 1, 2), (0, 4, 5), False),
+        ((0, 1, 2), (0, 4, 7), True),
+    ])
+
+
+def test_shared_vertex_with_edges_on_opposite_rays():
+    # A's edge runs along +x from the shared vertex, B's along -x.
+    verts = [(0, 0), (2, 0), (0, 2), (-2, 0), (0, -2), (-1, 2), (2, 1), (1, -1)]
+    check_pairs_against_oracle(2, verts, [
+        ((0, 1, 2), (0, 3, 4), False),  # B in the lower left quadrant
+        ((0, 1, 2), (0, 3, 5), False),  # B upper left: touches A along x = 0
+        ((0, 1, 2), (0, 3, 6), True),   # B's wedge reaches past +y into A
+        ((0, 1, 2), (0, 4, 7), False),  # B below the x-axis
+        ((0, 1, 2), (0, 1, 4), False),  # glued along +x, for contrast
+    ])
+
+
+def test_t_junction():
+    # A vertex of one triangle lies inside an edge of the other: with the
+    # shared vertex (0,0), on A's edge along +x or on its far edge, and
+    # with no shared vertex at all.
+    verts = [(0, 0), (4, 0), (2, 4), (2, 0), (3, -2), (3, 2), (-1, -3), (5, -3),
+             (1, 2), (0, 4), (-2, 0)]
+    check_pairs_against_oracle(2, verts, [
+        ((0, 1, 2), (0, 3, 4), False),  # (2,0) inside A's edge, B below it
+        ((0, 1, 2), (0, 3, 5), True),
+        ((0, 1, 2), (3, 6, 7), False),  # no shared vertex, B below the edge
+        ((0, 1, 2), (3, 4, 5), True),
+        ((0, 1, 2), (0, 8, 9), False),  # (1,2) inside A's edge to (2,4)
+        ((0, 1, 2), (8, 9, 10), False),
+        ((0, 1, 2), (0, 5, 9), True),   # (3,2) inside A's far edge
+    ])
+
+
+def test_shared_edge_with_coplanar_apexes():
+    # Tetrahedra sharing the edge (0,0,0)-(0,0,2); one apex of each lies in
+    # the plane y = 0 through that edge, on one side of it or on opposite
+    # sides.
+    verts = [(0, 0, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1), (2, 0, 1), (0, -1, 1),
+             (1, 1, 1), (-1, 0, 1), (0, 1, 0), (-1, -1, 1)]
+    check_pairs_against_oracle(3, verts, [
+        ((0, 1, 2, 3), (0, 1, 4, 5), False),  # one side; B below y = 0
+        ((0, 1, 2, 3), (0, 1, 4, 6), True),   # one side; B over A
+        ((0, 1, 2, 3), (0, 1, 5, 7), False),  # opposite sides, B in y < 0
+        ((0, 1, 2, 3), (0, 1, 7, 8), False),  # opposite sides, touching A
+        ((0, 1, 2, 3), (0, 1, 6, 7), True),   # opposite sides, B reaches A
+        ((0, 1, 2, 3), (0, 1, 7, 9), False),
+    ])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_strict_validation_of_a_duplicate_simplex(d):
+    # Simplices 0 and 2 are one simplex twice: all d + 1 ids shared, so
+    # neither the glued-pair nor the shared-ridge test applies.
+    verts = [(0,) * d] + [tuple(int(k == axis) for k in range(d)) for axis in range(d)]
+    verts.append((1,) * d if d > 1 else (2,))
+    first = tuple(range(d + 1))
+    c = Complex(d, tuple(point(*v) for v in verts),
+                (Simplex(first), Simplex(tuple(range(1, d + 2))), Simplex(first)))
+    facet = tuple(range(1, d + 1))
+    assert validate(c, GEOMETRIC_STRICT) == ValidationReport(GEOMETRIC_STRICT, (
+        Issue("duplicate-simplex", "simplices 0 and 2 are identical", (0, 2)),
+        Issue("overglued-facet", f"facet {facet} shared by 3 simplices", (0, 1, 2)),
+        Issue("interior-overlap", "simplices 0 and 2 have overlapping interiors", (0, 2)),
+    ))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rational", [False, True])
+def test_ridge_pairs_match_fraction_sat_oracle(d, rational):
+    """Random simplex pairs sharing exactly d - 1 vertex ids, the pairs the
+    shared-ridge hyperplanes decide, on small coordinates that make
+    touching and coplanar configurations common."""
+    rng = random.Random(300 + 10 * d + rational)
+    verdicts = [0, 0]
+    for _ in range(400):
+        verts = [tuple(random_coord(rng, rational) for _ in range(d)) for _ in range(d + 3)]
+        ids_a = list(range(d + 1))
+        ids_b = sorted(rng.sample(ids_a, d - 1) + [d + 1, d + 2])
+        pts_a = [verts[v] for v in ids_a]
+        pts_b = [verts[v] for v in ids_b]
+        if is_degenerate(pts_a) or is_degenerate(pts_b):
+            continue
+        c = Complex(d, tuple(point(*v) for v in verts), (Simplex(tuple(ids_a)), Simplex(tuple(ids_b))))
+        expected = oracle_interiors_overlap(pts_a, pts_b, d)
+        assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
+        verdicts[expected] += 1
+    assert min(verdicts) >= 20, verdicts
+
+
+def sweep_order(c):
+    """Every pair of non-degenerate simplices whose bounding boxes' interiors
+    meet, in the order of an x-sweep over the boxes sorted by lower corner
+    (ties by simplex index): the order of the strict report."""
+    d = c.dimension
+    boxes = []
+    for i in range(len(c.simplices)):
+        pts = [p.coords for p in c.simplex_points(i)]
+        if not is_degenerate(pts):
+            boxes.append((tuple(min(p[k] for p in pts) for k in range(d)),
+                          tuple(max(p[k] for p in pts) for k in range(d)), i))
+    boxes.sort(key=lambda box: box[0])
+    order = []
+    for a, (lo_i, hi_i, i) in enumerate(boxes):
+        for lo_j, hi_j, j in boxes[a + 1:]:
+            if lo_j[0] >= hi_i[0]:
+                break
+            if all(x < y for x, y in zip(lo_j, hi_i)) and all(x < y for x, y in zip(lo_i, hi_j)):
+                order.append((min(i, j), max(i, j)))
+    return order
+
+
+@pytest.mark.parametrize("kind,d,size", [
+    ("delaunay2d", 2, 300), ("closed-fan", 2, 60), ("fan", 3, 40), ("freudenthal", 3, 2),
+])
+def test_overlap_report_order_is_the_sweep_order(kind, d, size):
+    # freudenthal m = 2, not 3: moving the vertex leaves the m = 3 lattice
+    # valid, so its report would pin no order.
+    c = moved_vertex(generate(GeneratorSpec(kind, d, size)))
+    pairs = overlap_pairs(validate(c, GEOMETRIC_STRICT))
+    expected = oracle_pairs(c)
+    assert pairs and set(pairs) == expected
+    assert pairs == [pair for pair in sweep_order(c) if pair in expected]
+
+
+def test_one_huge_simplex_among_small_ones():
+    """A tetrahedron around a diagonal chain of 300 small ones: the report
+    lists exactly its 300 pairs, in sweep order, and the grid behind the
+    broad phase stays linear in size although the huge box crosses every
+    cell the small boxes would ask for."""
+    verts = [(-1, -1, -1), (9000, -1, -1), (-1, 9000, -1), (-1, -1, 9000)]
+    simplices = [Simplex((0, 1, 2, 3))]
+    for k in range(300):
+        base = len(verts)
+        verts += [(10 * k + dx, 10 * k + dy, 10 * k + dz)
+                  for dx, dy, dz in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        simplices.append(Simplex(tuple(range(base, base + 4))))
+    c = Complex(3, tuple(point(*v) for v in verts), tuple(simplices))
+    pairs = overlap_pairs(validate(c, GEOMETRIC_STRICT))
+    assert set(pairs) == {(0, k) for k in range(1, 301)} == oracle_pairs(c)
+    assert pairs == [pair for pair in sweep_order(c) if pair in set(pairs)]
+
+    small = [((2 * k,) * 3, (2 * k + 1,) * 3, k + 1) for k in range(300)]
+    boxes = [((0, 0, 0), (600, 600, 600), 0)] + small
+    cells = _box_cells(boxes, 3)
+    assert sum(map(len, cells.values())) <= 8 * len(boxes)
