@@ -23,7 +23,7 @@ from itertools import combinations
 from .dual import DualGraph, build_dual
 from .errors import ColoringError, InputError, InvariantError, UnrealizableComplexError
 from .geometry import extreme_point, hull_normal
-from .model import Coloring, Complex, Facet, _is_int, _naming, _read_json, _write_json
+from .model import Coloring, Complex, Facet, _all_ints, _is_int, _naming, _read_json, _write_json
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC = "geometric"
@@ -66,7 +66,7 @@ def certificate_from_dict(data: dict) -> PeelCertificate:
     steps = data["steps"]
     if not isinstance(steps, list) or not all(
         isinstance(step, list) and len(step) == 2 and _is_int(step[0])
-        and isinstance(step[1], list) and all(map(_is_int, step[1]))
+        and isinstance(step[1], list) and _all_ints(step[1])
         for step in steps
     ):
         raise InputError("certificate 'steps' must be [simplex, [facet vertex ids]] integer pairs")
@@ -292,11 +292,11 @@ def color(c: Complex, cert: PeelCertificate) -> Coloring:
     n = len(c.simplices)
     if sorted(i for i, _ in cert.steps) != list(range(n)):
         raise InputError("certificate does not cover the complex exactly once")
-    g = build_dual(c)
+    adjacency = build_dual(c).adjacency
     d = c.dimension
     colors = [-1] * n
     for i, _witness in reversed(cert.steps):
-        used = {colors[j] for j in g.neighbors(i) if colors[j] >= 0}
+        used = {colors[j] for j, _ in adjacency[i] if colors[j] >= 0}
         chosen = next(k for k in range(d + 2) if k not in used)
         if chosen > d:
             raise InvariantError(
@@ -316,13 +316,16 @@ def verify_coloring(c: Complex, col: Coloring):
         )
     violations = []
     d = c.dimension
-    for i, k in enumerate(col.colors):
+    colors = col.colors
+    for i, k in enumerate(colors):
         if not 0 <= k <= d:
             violations.append(("color-range", i, k))
-    g = build_dual(c)
-    for i, j, f in g.edges():
-        if col.colors[i] == col.colors[j]:
-            violations.append(("conflict", i, j, f.vertex_ids))
+    # Edge order, as DualGraph.edges() lists them.
+    for i, nbrs in enumerate(build_dual(c).adjacency):
+        k = colors[i]
+        for j, f in nbrs:
+            if i < j and colors[j] == k:
+                violations.append(("conflict", i, j, f.vertex_ids))
     return not violations, violations
 
 

@@ -19,6 +19,10 @@ from .model import Complex, Facet
 
 @dataclass(frozen=True)
 class DualGraph:
+    """adjacency[i] holds (neighbor, shared facet) pairs, by neighbor.  The
+    library's per-node loops read it directly; `neighbors` builds a tuple
+    per call."""
+
     node_count: int
     adjacency: tuple[tuple[tuple[int, Facet], ...], ...]
 
@@ -89,7 +93,8 @@ def stats(g: DualGraph, d: int) -> GraphStats:
     max_degree+1 is reported instead.
     """
     n = g.node_count
-    max_degree = max((g.degree(i) for i in range(n)), default=0)
+    adjacency = g.adjacency
+    max_degree = max(map(len, adjacency), default=0)
 
     components = 0
     seen = [False] * n
@@ -101,7 +106,7 @@ def stats(g: DualGraph, d: int) -> GraphStats:
         seen[start] = True
         while stack:
             v = stack.pop()
-            for w in g.neighbors(v):
+            for w, _ in adjacency[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -115,7 +120,7 @@ def stats(g: DualGraph, d: int) -> GraphStats:
 
 
 def _is_clique(g: DualGraph, nodes: tuple[int, ...]) -> bool:
-    neighbor_sets = {v: set(g.neighbors(v)) for v in nodes}
+    neighbor_sets = {v: {u for u, _ in g.adjacency[v]} for v in nodes}
     return all(b in neighbor_sets[a] for a, b in combinations(nodes, 2))
 
 
@@ -127,8 +132,8 @@ def _cliques(g: DualGraph, r: int):
     """
     if r < 2:
         raise InputError(f"clique size must be >= 2, got {r}")
-    for v in range(g.node_count):
-        above = [u for u in g.neighbors(v) if u > v]
+    for v, nbrs in enumerate(g.adjacency):
+        above = [u for u, _ in nbrs if u > v]
         for rest in combinations(above, r - 1):
             if _is_clique(g, rest):
                 yield [v] + list(rest)

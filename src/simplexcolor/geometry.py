@@ -23,6 +23,7 @@ affinely dependent faces go through fraction-free linear feasibility.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -36,15 +37,29 @@ Rational = Fraction
 
 Vec = tuple[Fraction, ...]
 
+# The largest decimal exponent a coordinate string may carry.  Fraction
+# builds 10**|e| exactly, so '1e99999999' would run for minutes; the bound
+# is the interpreter's default limit on the digits of an int string.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
 
 def rational(value) -> Fraction:
-    """Coerce ints, strings like '3/7' or '0.25', and floats to Fraction."""
+    """Coerce ints, strings like '3/7', '0.25' or '1e-3', and floats to
+    Fraction.  A string's decimal exponent is bounded by
+    MAX_DECIMAL_EXPONENT in magnitude."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        # The length comes first: int() of a long digit string is slow too.
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise InputError(
+                f"coordinate {value!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)  # exact binary value
+    if isinstance(value, (int, float)):
+        return Fraction(value)  # a float's exact binary value
     raise InputError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -70,6 +85,12 @@ class Point:
 
 def point(*coords) -> Point:
     return Point(coords)
+
+
+def coordinate_column(points, k: int) -> list:
+    """Coordinate k of each point, integral values as `int`: equal to the
+    Fraction and hashing alike, but sorted and compared at C speed."""
+    return [x.numerator if x.denominator == 1 else x for x in (p.coords[k] for p in points)]
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm, prod
-from operator import lt, mul
+from operator import ge, lt, mul
 from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .geometry import (
-    Point, homogeneous_orientation, homogeneous_row, int_orientation,
+    Point, coordinate_column, homogeneous_orientation, homogeneous_row, int_orientation,
+    rational,
 )
 
 if TYPE_CHECKING:
@@ -38,6 +39,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_ints(values) -> bool:
+    """Whether every entry passes `_is_int`: decided at C speed when all are
+    plain ints, entry by entry only when something else is present."""
+    return {int}.issuperset(map(type, values)) or all(map(_is_int, values))
+
+
 @dataclass(frozen=True, order=True)
 class Simplex:
     """A d-simplex: d+1 strictly increasing vertex indices."""
@@ -45,11 +52,13 @@ class Simplex:
     vertex_ids: tuple[int, ...]
 
     def __post_init__(self):
-        ids = tuple(self.vertex_ids)
-        object.__setattr__(self, "vertex_ids", ids)
-        if not all(map(_is_int, ids)):
+        ids = self.vertex_ids
+        if type(ids) is not tuple:
+            ids = tuple(ids)
+            object.__setattr__(self, "vertex_ids", ids)
+        if not _all_ints(ids):
             raise InputError(f"{type(self).__name__.lower()} ids must be integers: {ids}")
-        if any(a >= b for a, b in zip(ids, ids[1:])):
+        if any(map(ge, ids, ids[1:])):
             raise InputError(f"{type(self).__name__.lower()} ids must be strictly increasing: {ids}")
 
     def facet_ids(self) -> tuple[tuple[int, ...], ...]:
@@ -136,8 +145,9 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if not all(map(_is_int, self.colors)):
+        if type(self.colors) is not tuple:
+            object.__setattr__(self, "colors", tuple(self.colors))
+        if not _all_ints(self.colors):
             raise InputError("colors must be integers")
 
 
@@ -176,7 +186,7 @@ def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
     comparisons on ranks decide exactly as they would on the rationals."""
     columns = []
     for k in range(c.dimension):
-        values = [p.coords[k] for p in c.vertices]
+        values = coordinate_column(c.vertices, k)
         rank = {v: r for r, v in enumerate(sorted(set(values)))}
         columns.append([rank[v] for v in values])
     return list(zip(*columns))
@@ -460,7 +470,7 @@ def complex_from_dict(data: dict) -> Complex:
         raise InputError("'dimension' must be an integer")
     vertex_rows, simplex_rows = _rows(data, "vertices"), _rows(data, "simplices")
     for k, row in enumerate(simplex_rows):
-        if not all(map(_is_int, row)):
+        if not _all_ints(row):
             raise InputError(f"simplex {k} has a vertex id that is not an integer: {row}")
     if any(isinstance(x, bool) for row in vertex_rows for x in row):
         raise InputError("a vertex coordinate is a boolean, not a number")
@@ -479,7 +489,7 @@ def coloring_from_dict(data: dict) -> Coloring:
     if not isinstance(data, dict) or "colors" not in data:
         raise InputError("coloring JSON is missing the 'colors' field")
     colors = data["colors"]
-    if not isinstance(colors, list) or not all(map(_is_int, colors)):
+    if not isinstance(colors, list) or not _all_ints(colors):
         raise InputError("'colors' must be a list of integers")
     return Coloring(tuple(colors))
 
@@ -511,6 +521,8 @@ def _read_json(path: str):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
@@ -528,7 +540,9 @@ def _write_json(path: str, data) -> None:
 
 def _parse_off_number(token: str, path: str, lineno: int) -> Fraction:
     try:
-        return Fraction(token)
+        return rational(token)
+    except InputError as exc:
+        raise InputError(f"{path}:{lineno}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{path}:{lineno}: bad coordinate {token!r}") from exc
 

@@ -1,17 +1,21 @@
 """Static SVG rendering of planar (d=2) complexes and their colorings.
 
-Output is a pure function of (complex, coloring, options): coordinates are
-formatted from exact rationals with fixed precision, so repeated runs give
-byte-identical files.
+Output is a pure function of (complex, coloring, options), so repeated
+runs give byte-identical files.  The scale and offsets are a few exact
+rationals; every vertex and centroid is then mapped from the integer rows
+of `Complex.homogeneous` to integer numerators over its own denominator and
+formatted to three decimals by integer half-to-even rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dual import build_dual
 from .errors import ColoringError, InputError
+from .geometry import coordinate_column
 from .model import Coloring, Complex
 
 DEFAULT_PALETTE = (
@@ -27,13 +31,21 @@ class RenderOptions:
     palette: tuple[str, ...] = DEFAULT_PALETTE
     show_dual: bool = False
 
+    def __post_init__(self):
+        for name, size in (("width", self.width), ("height", self.height)):
+            if size <= 0:
+                raise InputError(f"render {name} must be positive, got {size}")
 
-def _fmt(x: Fraction) -> str:
-    """Fixed three-decimal formatting computed in exact arithmetic."""
-    n = round(x * 1000)
+
+def _fixed3(num: int, den: int) -> str:
+    """num/den, den > 0, to three decimals: the digits of
+    round(Fraction(num, den) * 1000), half to even, in integer arithmetic."""
+    n, r = divmod(num * 1000, den)
+    if 2 * r > den or (2 * r == den and n & 1):
+        n += 1
     sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // 1000}.{n % 1000:03d}"
+    whole, frac = divmod(abs(n), 1000)
+    return f"{sign}{whole}.{frac:03d}"
 
 
 def render_svg(c: Complex, coloring: Coloring | None = None,
@@ -55,8 +67,7 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
                     f"has color index {k}"
                 )
 
-    xs = [p[0] for p in c.vertices]
-    ys = [p[1] for p in c.vertices]
+    xs, ys = coordinate_column(c.vertices, 0), coordinate_column(c.vertices, 1)
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span_x = hi_x - lo_x or Fraction(1)
@@ -68,10 +79,15 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
     off_x = (Fraction(options.width) - scale * (lo_x + hi_x)) / 2
     off_y = (Fraction(options.height) + scale * (lo_y + hi_y)) / 2
 
-    # The map is affine, so each vertex is mapped and formatted once, and a
-    # centroid's screen point is the exact mean of its three screen points.
-    screen = [(off_x + scale * p[0], off_y - scale * p[1]) for p in c.vertices]
-    labels = [f"{_fmt(x)},{_fmt(y)}" for x, y in screen]
+    # Over den, the LCM of the map's three denominators, scale and offsets
+    # have the numerators m, u and w, so the vertex with row (x, y, q) lands
+    # at ((u q + m x) / (den q), (w q - m y) / (den q)).  The map is affine,
+    # so each vertex is mapped and formatted once, and a centroid's screen
+    # point is the exact mean of its three screen points.
+    den = lcm(scale.denominator, off_x.denominator, off_y.denominator)
+    m, u, w = (r.numerator * (den // r.denominator) for r in (scale, off_x, off_y))
+    screen = [(u * q + m * x, w * q - m * y, q) for x, y, q in c.homogeneous]
+    labels = [f"{_fixed3(x, den * q)},{_fixed3(y, den * q)}" for x, y, q in screen]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{options.width}" '
@@ -86,8 +102,12 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
     if options.show_dual:
         centroids = []
         for s in c.simplices:
-            (xa, ya), (xb, yb), (xc, yc) = (screen[v] for v in s.vertex_ids)
-            centroids.append((_fmt((xa + xb + xc) / 3), _fmt((ya + yb + yc) / 3)))
+            (xa, ya, qa), (xb, yb, qb), (xc, yc, qc) = (screen[v] for v in s.vertex_ids)
+            q = lcm(qa, qb, qc)
+            ka, kb, kc = q // qa, q // qb, q // qc
+            cden = 3 * den * q
+            centroids.append((_fixed3(xa * ka + xb * kb + xc * kc, cden),
+                              _fixed3(ya * ka + yb * kb + yc * kc, cden)))
         for i, j, _f in build_dual(c).edges():
             (x1, y1), (x2, y2) = centroids[i], centroids[j]
             lines.append(

@@ -145,6 +145,29 @@ class TestColorVerify:
         assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
         assert f"{bad}: JSON nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, content", [
+        ("huge.json", '{"dimension": 2, "vertices": [[0, 0], ["1e99999999", 0], [0, 1]], '
+                      '"simplices": [[0, 1, 2]]}'),
+        ("huge.off", "OFF\n3 1 0\n0 0\n1e-99999999 0\n0 1\n3 0 1 2\n"),
+    ])
+    def test_huge_decimal_exponent_exit_2_at_once(self, tmp_path, capsys, name, content):
+        # Fraction('1e99999999') alone would build 10**99999999 exactly.
+        bad = tmp_path / name
+        bad.write_text(content)
+        t0 = time.perf_counter()
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:") and "decimal exponent" in err
+
+    def test_oversized_json_integer_exit_2(self, tmp_path, capsys):
+        # Past the interpreter's digit limit json.loads raises a plain ValueError.
+        bad = tmp_path / "big.json"
+        bad.write_text('{"dimension": 2, "vertices": [[0, 0], [1%s, 0], [0, 1]], '
+                       '"simplices": [[0, 1, 2]]}' % ("0" * 5000))
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON")
+
     @pytest.mark.parametrize("colors", ["[1.9, 0, 2]", "[true, 0, 2]", '"ab"', "[0, 1, 2.0]"])
     def test_hostile_coloring_exit_2(self, fan_file, tmp_path, colors):
         bad = tmp_path / "bad.colors.json"
@@ -308,6 +331,14 @@ class TestRender:
         svg_path = tmp_path / "x.svg"
         assert run("render", fan_file, "--coloring", str(col_path), "-o", str(svg_path)) == 2
         assert "color index -1" in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    @pytest.mark.parametrize("value", ["0", "-10"])
+    def test_non_positive_size_exit_2(self, fan_file, tmp_path, capsys, flag, value):
+        svg_path = tmp_path / "x.svg"
+        assert run("render", fan_file, flag, value, "-o", str(svg_path)) == 2
+        assert f"{flag[2:]} must be positive, got {value}" in capsys.readouterr().err
         assert not svg_path.exists()
 
     def test_palette_too_small(self, fan_file, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from simplexcolor.errors import InputError
 from simplexcolor.geometry import (
+    MAX_DECIMAL_EXPONENT,
     Hyperplane,
     Point,
     det,
@@ -19,6 +20,7 @@ from simplexcolor.geometry import (
     hull_normal,
     orientation,
     point,
+    rational,
     side_of,
     supporting_hyperplane,
 )
@@ -56,6 +58,25 @@ def brute_hull_vertices_2d(pts):
     if len(pts) == 1:
         verts.add(0)
     return verts
+
+
+class TestRational:
+    @pytest.mark.parametrize("text, value", [
+        ("3/7", Fraction(3, 7)), ("-0.25", Fraction(-1, 4)), (" 2.5E-3 ", Fraction(1, 400)),
+        (f"1e{MAX_DECIMAL_EXPONENT}", Fraction(10**MAX_DECIMAL_EXPONENT)),
+        (f"7e-{MAX_DECIMAL_EXPONENT}", Fraction(7, 10**MAX_DECIMAL_EXPONENT)),
+        (f"1e+000{MAX_DECIMAL_EXPONENT}", Fraction(10**MAX_DECIMAL_EXPONENT)),
+    ])
+    def test_decimal_strings_parse_exactly(self, text, value):
+        assert rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        f"1e{MAX_DECIMAL_EXPONENT + 1}", f"1E-{MAX_DECIMAL_EXPONENT + 1}",
+        "1e99999999", "0.5e-99999999", "1e" + "9" * 100000,
+    ])
+    def test_oversized_exponent_rejected(self, text):
+        with pytest.raises(InputError, match="decimal exponent"):
+            rational(text)
 
 
 class TestOrientation:

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,6 +31,13 @@ from simplexcolor.model import (
     save_coloring,
     validate,
 )
+
+
+class _Id(IntEnum):
+    """An int subclass that is not bool: accepted wherever ints are."""
+
+    A = 0
+    B = 2
 
 
 def unit_triangle():
@@ -81,11 +89,24 @@ class TestValueClasses:
     @pytest.mark.parametrize("cls, entries", [
         (Simplex, (0, 1.7, 3)), (Simplex, (0, True, 3)), (Simplex, ("0", 1, 2)),
         (Facet, (0.5, 2)), (Facet, (0, 2.0)), (Coloring, (1.9, True)), (Coloring, (0, "1")),
+        (Simplex, [0, True, 3]), (Facet, [0, 2.0]), (Coloring, [True]),
+        (Simplex, (_Id.A, True)), (Coloring, [_Id.B, 0.5]),
     ])
     def test_non_integer_entries_rejected(self, cls, entries):
         # int() would truncate these silently: (0, 1.7, 3) to (0, 1, 3).
         with pytest.raises(InputError, match="must be integers"):
             cls(entries)
+
+    def test_int_subclass_ids_accepted_and_lists_become_tuples(self):
+        s = Simplex([_Id.A, 1, _Id.B])
+        assert type(s.vertex_ids) is tuple and s.vertex_ids == (0, 1, 2)
+        assert s == Simplex((0, 1, 2)) and hash(s) == hash(Simplex((0, 1, 2)))
+        f = Facet([_Id.A, _Id.B])
+        assert type(f.vertex_ids) is tuple and f == Facet((0, 2))
+        col = Coloring([_Id.B, 0, _Id.A])
+        assert type(col.colors) is tuple and col.colors == (2, 0, 0)
+        with pytest.raises(InputError, match=r"^simplex ids must be strictly increasing"):
+            Simplex((_Id.B, 1))
 
     def test_complex_rejects_non_integer_simplex_ids(self):
         with pytest.raises(InputError, match="simplex ids must be integers"):

@@ -8,13 +8,15 @@ formatted each vertex once; the outputs must agree byte for byte.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexcolor.coloring import color, peel
 from simplexcolor.dual import build_dual
 from simplexcolor.generators import GeneratorSpec, generate
 from simplexcolor.geometry import point
 from simplexcolor.model import Complex, Simplex
-from simplexcolor.render import RenderOptions, render_svg
+from simplexcolor.render import RenderOptions, _fixed3, render_svg
 
 
 def _ref_fmt(x: Fraction) -> str:
@@ -104,6 +106,11 @@ INSTANCES = {
     "closed-fan-moved": lambda: moved(generate(GeneratorSpec("closed-fan", 2, 9)),
                                       Fraction(-3, BIG), Fraction(5, 7),
                                       Fraction(11, 13), Fraction(-10**12, 3)),
+    # Per-vertex denominators that differ within one simplex.
+    "delaunay-300-moved": lambda: moved(generate(GeneratorSpec("delaunay2d", 2, 300, 5)),
+                                        Fraction(5, 3), Fraction(1, 7),
+                                        Fraction(-2, 9), Fraction(13, 11)),
+    "closed-fan-301": lambda: generate(GeneratorSpec("closed-fan", 2, 301)),
 }
 OPTIONS = {
     "default": RenderOptions(),
@@ -128,3 +135,21 @@ def test_ties_round_half_even():
     svg = render_svg(tie_complex(), None, RenderOptions(show_dual=True))
     assert 'points="32.000,608.000 608.000,608.000 320.000,320.000"' in svg
     assert '<circle cx="322.000" cy="' in svg
+
+
+HUGE = st.integers(-(10**60), 10**60) | st.integers()
+
+
+@settings(max_examples=400, deadline=None)
+@given(HUGE, st.integers(1, 10**60) | st.integers(1, 2000))
+def test_fixed3_matches_fraction_rounding(num, den):
+    assert _fixed3(num, den) == _ref_fmt(Fraction(num, den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_fixed3_ties_round_half_even(k, scale):
+    # (2k + 1) / 2000 is an exact tie at the third decimal, given here
+    # unreduced by a common factor.
+    num, den = (2 * k + 1) * scale, 2000 * scale
+    assert _fixed3(num, den) == _ref_fmt(Fraction(num, den))
