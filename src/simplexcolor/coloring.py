@@ -95,7 +95,7 @@ def find_exposed_combinatorial(c: Complex) -> tuple[int, Facet]:
     for i, s in enumerate(c.simplices):
         exposed = [f for f in s.facet_ids() if len(owners[f]) == 1]
         if exposed:
-            return i, Facet(min(exposed))
+            return i, Facet._sliced(min(exposed))
     raise UnrealizableComplexError(len(c.simplices))
 
 
@@ -158,7 +158,7 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int],
                 if anchor_set <= set(f) and on_hull(f):
                     if sum(j in live for j in c.facet_owners[f]) != 1:
                         raise UnrealizableComplexError(len(live))
-                    return i, Facet(f)
+                    return i, Facet._sliced(f)
 
         # Otherwise grow the anchor: the largest face strictly containing it
         # (below facet dimension) that lies on the hull.
@@ -208,31 +208,38 @@ def find_exposed_geometric(c: Complex):
 
 
 def _peel_combinatorial(c: Complex) -> PeelCertificate:
+    """Lowest-index exposed simplex first, on facet numbers: mult[k] counts
+    the live owners of facet k, so when it falls to 1 the other simplex of
+    k's owner pair is the live one.  The witness is the lexicographically
+    smallest exposed facet, the last exposed one in facet_ids order."""
     n = len(c.simplices)
-    owners = c.facet_owners
-    mult: dict[tuple[int, ...], int] = {}
-    for f, own in owners.items():
-        if len(own) > 2:
-            raise InputError(
-                f"invalid complex: facet {f} shared by {len(own)} simplices"
-            )
-        mult[f] = len(own)
+    owners = list(c.facet_owners.values())
+    mult = list(map(len, owners))
+    if max(mult, default=0) > 2:
+        f, own = next((f, own) for f, own in c.facet_owners.items() if len(own) > 2)
+        raise InputError(f"invalid complex: facet {f} shared by {len(own)} simplices")
 
+    numbers, simplices, last = c.facet_numbers, c.simplices, c.dimension
     alive = [True] * n
-    heap = sorted({own[0] for own in owners.values() if len(own) == 1})  # sorted is a heap
+    heap = sorted({own[0] for own in owners if len(own) == 1})  # sorted is a heap
     steps: list[tuple[int, Facet]] = []
 
     while heap:
         i = heapq.heappop(heap)
         if not alive[i]:
             continue
-        facets = c.simplices[i].facet_ids()
-        steps.append((i, Facet(min(f for f in facets if mult[f] == 1))))
         alive[i] = False
-        for f in facets:
-            mult[f] -= 1
-            if mult[f] == 1:
-                heapq.heappush(heap, next(j for j in owners[f] if alive[j]))
+        facets = numbers[i]
+        p = last
+        while mult[facets[p]] != 1:
+            p -= 1
+        ids = simplices[i].vertex_ids
+        steps.append((i, Facet._sliced(ids[:p] + ids[p + 1:])))
+        for k in facets:
+            mult[k] -= 1
+            if mult[k] == 1:
+                a, b = owners[k]
+                heapq.heappush(heap, b if a == i else a)
 
     if len(steps) != n:
         raise UnrealizableComplexError(n - len(steps))

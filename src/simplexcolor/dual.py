@@ -70,15 +70,15 @@ def _facet_adjacency(c: Complex) -> DualGraph:
     """Build the dual graph from c.facet_owners (the body of Complex.dual)."""
     adjacency: list[list[tuple[int, Facet]]] = [[] for _ in c.simplices]
     for f, own in c.facet_owners.items():
-        if len(own) > 2:
+        if len(own) == 2:
+            i, j = own
+            facet = Facet._sliced(f)
+            adjacency[i].append((j, facet))
+            adjacency[j].append((i, facet))
+        elif len(own) > 2:
             raise InputError(
                 f"invalid complex: facet {f} shared by {len(own)} simplices"
             )
-        if len(own) == 2:
-            i, j = own
-            facet = Facet(f)
-            adjacency[i].append((j, facet))
-            adjacency[j].append((i, facet))
     return DualGraph(
         len(c.simplices),
         tuple(tuple(sorted(nbrs)) for nbrs in adjacency),

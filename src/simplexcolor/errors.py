@@ -1,5 +1,16 @@
 """Exception types shared across the library."""
 
+# The most characters of an input token or message that an error repeats.
+ECHO_LIMIT = 80
+
+
+def shorten(text: str) -> str:
+    """`text` for an error message: cut after ECHO_LIMIT characters, with
+    a count of the rest, so a hostile 100 kB token gives a short message."""
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters)"
+
 
 class SimplexColorError(Exception):
     """Base class for all library errors."""

@@ -1,13 +1,15 @@
 """Exact geometric predicates over rational coordinates.
 
-Coordinates are arbitrary-precision rationals (`fractions.Fraction`), and
-every predicate returns an exact answer: there are no epsilons and no
-floats, and results are invariant under uniform positive rational scaling
-of the input coordinates.  The determinant kernel behind `det` and
-`orientation` runs on Python `int`: it scales the few points or rows it is
-given by the LCM of their own denominators (never one LCM over a whole
-vertex table) and then runs Bareiss's fraction-free elimination, whose
-divisions are all exact.
+Coordinates are arbitrary-precision rationals: a `Point` stores each
+integral coordinate as a plain `int` and every other one as a
+`fractions.Fraction`.  Every predicate returns an exact answer: there are
+no epsilons and no floats, and results are invariant under uniform
+positive rational scaling of the input coordinates.  The determinant
+kernel behind `det` and `orientation` runs on Python `int`: it scales the
+few points or rows it is given by the LCM of their own denominators (never
+one LCM over a whole vertex table), then takes a closed-form determinant
+up to 4×4 and Bareiss's fraction-free elimination, whose divisions are all
+exact, above that.
 
 The hull-membership test never builds a convex hull.  It decides whether
 a hyperplane exists that contains a given face and keeps the whole point
@@ -29,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import InputError
+from .errors import InputError, shorten
 
 # Exact rational scalar used throughout the library.  Fraction already
 # guarantees the reduced-form invariants (positive denominator, gcd 1).
@@ -55,22 +57,29 @@ def rational(value) -> Fraction:
         digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
         # The length comes first: int() of a long digit string is slow too.
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise InputError(
-                f"coordinate {value!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+            raise InputError(f"coordinate {shorten(repr(value))} has a decimal exponent "
+                             f"beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(value)
     if isinstance(value, (int, float)):
         return Fraction(value)  # a float's exact binary value
-    raise InputError(f"cannot interpret {value!r} as a rational number")
+    raise InputError(f"cannot interpret {shorten(repr(value))} as a rational number")
 
 
 @dataclass(frozen=True)
 class Point:
-    """A point in R^d with exact rational coordinates."""
+    """A point in R^d with exact rational coordinates: each integral one a
+    plain `int`, every other one a reduced `Fraction`.  Equal points compare
+    and hash alike, whatever form their coordinates were given in."""
 
     coords: Vec
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(rational(c) for c in self.coords))
+        coords = self.coords
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+        if not {int}.issuperset(map(type, coords)):
+            coords = tuple(x.numerator if x.denominator == 1 else x for x in map(rational, coords))
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dim(self) -> int:
@@ -85,12 +94,6 @@ class Point:
 
 def point(*coords) -> Point:
     return Point(coords)
-
-
-def coordinate_column(points, k: int) -> list:
-    """Coordinate k of each point, integral values as `int`: equal to the
-    Fraction and hashing alike, but sorted and compared at C speed."""
-    return [x.numerator if x.denominator == 1 else x for x in (p.coords[k] for p in points)]
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,30 @@ def clear_denominators(rows) -> tuple[int, list[list[int]]]:
     return scale, [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of a square int matrix (consumed) by Bareiss's
-    fraction-free elimination: every division below is exact."""
+def _bareiss(m) -> int:
+    """Determinant of a square int matrix, given as a sequence of rows and
+    left unchanged: in closed form up to 4×4, by Bareiss's fraction-free
+    elimination (every division exact) above that."""
     n = len(m)
+    if n <= 2:
+        if n == 2:
+            (a, b), (c, d) = m
+            return a * d - b * c
+        return m[0][0] if n else 1
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        # Laplace along the first two rows: their 2×2 minors against the
+        # complementary minors of the last two.
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    m = [list(row) for row in m]
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
@@ -149,7 +172,7 @@ def _bareiss(m: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - f * row_k[j]) // prev
         prev = pivot
-    return sign * m[-1][-1] if n else 1
+    return sign * m[-1][-1]
 
 
 def det(rows: list[Vec]) -> Fraction:
@@ -182,12 +205,12 @@ def homogeneous_orientation(rows) -> int:
     """`orientation` for d+1 points given as homogeneous integer rows
     (p·q, q), q > 0.
 
-    det[p·q | q] = (q_0 ··· q_d) · det[p | 1] = (q_0 ··· q_d) · (-1)^d ·
-    det[p_i - p_0], so one fraction-free determinant of the rows decides,
-    with no per-call LCM.
+    Row i times q_0, less row 0 times q_i, is q_0·q_i·(p_i - p_0) with a
+    zero weight, and the scaling is by q_0 > 0 only, so the sign of one
+    d×d determinant of these rows decides, with no per-call LCM.
     """
-    s = _sign(_bareiss([list(r) for r in rows]))
-    return -s if len(rows) % 2 == 0 else s
+    base, q = rows[0][:-1], rows[0][-1]
+    return _sign(_bareiss([[x * q - b * r[-1] for x, b in zip(r, base)] for r in rows[1:]]))
 
 
 def side_of(h: Hyperplane, p: Point) -> int:
@@ -224,7 +247,9 @@ def extreme_point(cloud: list[Point]) -> int:
 
 def homogeneous_row(coords) -> tuple[int, ...]:
     """The integer row (p·q, q) of a rational point p, where q > 0 is the
-    LCM of p's own denominators."""
+    LCM of p's own denominators: (*p, 1) when every coordinate is an int."""
+    if {int}.issuperset(map(type, coords)):
+        return (*coords, 1)
     q = lcm(*(x.denominator for x in coords))
     return tuple(x.numerator * (q // x.denominator) for x in coords) + (q,)
 
@@ -242,7 +267,7 @@ def facet_normal(face) -> list[int]:
     dependent."""
     width = len(face[0])
     return [
-        (-1) ** j * _bareiss([list(r[:j] + r[j + 1:]) for r in face])
+        (-1) ** j * _bareiss([r[:j] + r[j + 1:] for r in face])
         for j in range(width)
     ]
 

@@ -2,8 +2,9 @@
 
 A complex stores only its top-dimensional simplices; vertex identity is by
 index, and two simplices share a facet exactly when they share d vertex
-indices.  Coordinates are exact rationals, and the JSON form is bit-exact
-("p/q" strings), so load(save(c)) == c.
+indices.  Coordinates are exact rationals, each integral one stored as a
+plain `int` and every other one as a `Fraction`; the JSON form is
+bit-exact (integers, and "p/q" strings for the rest), so load(save(c)) == c.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from math import lcm, prod
 from operator import ge, lt, mul
 from typing import TYPE_CHECKING
 
-from .errors import InputError
-from .geometry import (
-    Point, coordinate_column, homogeneous_orientation, homogeneous_row, int_orientation,
-    rational,
-)
+from .errors import InputError, shorten
+from .geometry import Point, homogeneous_orientation, homogeneous_row, int_orientation, rational
 
 if TYPE_CHECKING:
     from .dual import DualGraph
@@ -62,16 +60,25 @@ class Simplex:
             raise InputError(f"{type(self).__name__.lower()} ids must be strictly increasing: {ids}")
 
     def facet_ids(self) -> tuple[tuple[int, ...], ...]:
-        """The facets' vertex ids, leaving out vertex k = 0..d in turn."""
+        """The facets' vertex ids, leaving out vertex k = 0..d in turn: the
+        d-subsets in decreasing lexicographic order."""
         ids = self.vertex_ids
-        return tuple(ids[:k] + ids[k + 1:] for k in range(len(ids)))
+        return tuple(combinations(ids, len(ids) - 1))[::-1]
 
     def facets(self) -> tuple[Facet, ...]:
-        return tuple(Facet(f) for f in self.facet_ids())
+        return tuple(map(Facet._sliced, self.facet_ids()))
 
 
 class Facet(Simplex):
     """A (d-1)-face: d strictly increasing vertex indices."""
+
+    @classmethod
+    def _sliced(cls, ids: tuple[int, ...]) -> Facet:
+        """The facet with ids taken from an already checked Simplex, which
+        are integers in increasing order: built without checking again."""
+        facet = object.__new__(cls)
+        object.__setattr__(facet, "vertex_ids", ids)
+        return facet
 
 
 @dataclass(frozen=True)
@@ -108,18 +115,35 @@ class Complex:
         return [self.vertices[v] for v in self.simplices[i].vertex_ids]
 
     @cached_property
+    def _facet_index(self):
+        """facet_owners and facet_numbers.  Each facet is numbered when
+        first seen; its owners are then collected by number, and the
+        numbering dict, its values replaced by them, is facet_owners."""
+        index: dict = {}
+        numbers = tuple(tuple([index.setdefault(f, len(index)) for f in s.facet_ids()])
+                        for s in self.simplices)
+        owners: list[list[int]] = [[] for _ in index]
+        for i, row in enumerate(numbers):
+            for k in row:
+                owners[k].append(i)
+        for f, own in zip(index, owners):
+            index[f] = tuple(own)
+        return index, numbers
+
+    @property
     def facet_owners(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Facet vertex ids -> indices of the simplices owning that facet,
         increasing.  Keys come in first-seen order (simplex order, then
         Simplex.facet_ids order).  Built on first use and shared by every
         caller, so it must never be mutated."""
-        owners: dict[tuple[int, ...], list[int]] = {}
-        for i, s in enumerate(self.simplices):
-            for f in s.facet_ids():
-                owners.setdefault(f, []).append(i)
-        for f, own in owners.items():
-            owners[f] = tuple(own)
-        return owners
+        return self._facet_index[0]
+
+    @property
+    def facet_numbers(self) -> tuple[tuple[int, ...], ...]:
+        """Each simplex's facets as numbers, in Simplex.facet_ids order: a
+        facet's number is its position in facet_owners.  Built with
+        facet_owners and shared like it."""
+        return self._facet_index[1]
 
     @cached_property
     def homogeneous(self) -> tuple[tuple[int, ...], ...]:
@@ -177,7 +201,7 @@ class ValidationReport:
 
 def facet_multiplicity(c: Complex) -> dict[Facet, int]:
     """How many simplices own each facet: 1 = exposed, 2 = glued."""
-    return {Facet(f): len(own) for f, own in c.facet_owners.items()}
+    return {Facet._sliced(f): len(own) for f, own in c.facet_owners.items()}
 
 
 def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
@@ -186,7 +210,7 @@ def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
     comparisons on ranks decide exactly as they would on the rationals."""
     columns = []
     for k in range(c.dimension):
-        values = coordinate_column(c.vertices, k)
+        values = [p.coords[k] for p in c.vertices]
         rank = {v: r for r, v in enumerate(sorted(set(values)))}
         columns.append([rank[v] for v in values])
     return list(zip(*columns))
@@ -417,11 +441,13 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
             degenerate.add(i)
             issues.append(Issue("degenerate-simplex", f"simplex {i} is affinely degenerate", (i,)))
 
-    for f, own in c.facet_owners.items():
-        if len(own) > 2:
-            issues.append(
-                Issue("overglued-facet", f"facet {f} shared by {len(own)} simplices", own)
-            )
+    owners = c.facet_owners
+    if max(map(len, owners.values()), default=0) > 2:
+        for f, own in owners.items():
+            if len(own) > 2:
+                issues.append(
+                    Issue("overglued-facet", f"facet {f} shared by {len(own)} simplices", own)
+                )
 
     if level == GEOMETRIC_STRICT:
         if d > 3:
@@ -442,14 +468,15 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
 # Serialization
 
 
-def _coord_to_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _coord_to_json(x):
+    """A `Point` coordinate as JSON: an int as itself, a Fraction as "p/q"."""
+    return x if type(x) is int else f"{x.numerator}/{x.denominator}"
 
 
 def complex_to_dict(c: Complex) -> dict:
     return {
         "dimension": c.dimension,
-        "vertices": [[_coord_to_json(x) for x in p.coords] for p in c.vertices],
+        "vertices": [list(map(_coord_to_json, p.coords)) for p in c.vertices],
         "simplices": [list(s.vertex_ids) for s in c.simplices],
     }
 
@@ -477,7 +504,7 @@ def complex_from_dict(data: dict) -> Complex:
     try:
         vertices = tuple(Point(row) for row in vertex_rows)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"bad complex JSON: {exc}") from exc
+        raise InputError(f"bad complex JSON: {shorten(str(exc))}") from exc
     return Complex(d, vertices, tuple(Simplex(tuple(row)) for row in simplex_rows))
 
 
@@ -544,7 +571,7 @@ def _parse_off_number(token: str, path: str, lineno: int) -> Fraction:
     except InputError as exc:
         raise InputError(f"{path}:{lineno}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{path}:{lineno}: bad coordinate {token!r}") from exc
+        raise InputError(f"{path}:{lineno}: bad coordinate {shorten(repr(token))}") from exc
 
 
 def _load_off(path: str) -> Complex:

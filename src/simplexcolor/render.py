@@ -15,7 +15,6 @@ from math import lcm
 
 from .dual import build_dual
 from .errors import ColoringError, InputError
-from .geometry import coordinate_column
 from .model import Coloring, Complex
 
 DEFAULT_PALETTE = (
@@ -67,7 +66,7 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
                     f"has color index {k}"
                 )
 
-    xs, ys = coordinate_column(c.vertices, 0), coordinate_column(c.vertices, 1)
+    xs, ys = [p.coords[0] for p in c.vertices], [p.coords[1] for p in c.vertices]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span_x = hi_x - lo_x or Fraction(1)

@@ -212,6 +212,17 @@ def _replay_certificate(c, cert):
     assert len(removed) == len(c.simplices)
 
 
+def test_combinatorial_peel_at_scale_matches_tuple_keyed_reference(corpus, tuple_keyed_peel):
+    """On the corpus's 10^4-scale instances the facet-number peel returns
+    the same certificate as the tuple-keyed reference peel."""
+    big = [(label, c) for label, _kind, _d, c in corpus if len(c.simplices) >= BIG]
+    assert len(big) >= 8
+    for label, c in big:
+        cert = peel(c, COMBINATORIAL)
+        assert [(i, f.vertex_ids) for i, f in cert.steps] == tuple_keyed_peel(c), label
+    print(f"PASS combinatorial peel at scale: {len(big)} instances match the reference")
+
+
 def test_geometric_peel_at_scale(corpus):
     """Every corpus instance above criterion 2's 500-simplex cap, the 10^4
     scale included, is peeled geometrically within the time budget; the

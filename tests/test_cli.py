@@ -160,6 +160,20 @@ class TestColorVerify:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:") and "decimal exponent" in err
 
+    @pytest.mark.parametrize("name, content", [
+        ("exponent.json", '{"dimension": 2, "vertices": [[0, 0], ["1e%s", 0], [0, 1]], '
+                          '"simplices": [[0, 1, 2]]}' % ("9" * 100000)),
+        ("word.json", '{"dimension": 2, "vertices": [[0, 0], ["%s", 0], [0, 1]], '
+                      '"simplices": [[0, 1, 2]]}' % ("x" * 100000)),
+        ("coordinate.off", "OFF\n3 1 0\n0 0\n%s 0\n0 1\n3 0 1 2\n" % ("1/" * 50000)),
+    ], ids=["json-exponent", "json-non-numeric", "off-coordinate"])
+    def test_long_bad_token_is_not_echoed(self, tmp_path, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_text(content)
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:") and len(err.encode()) < 1000, err[:2000]
+
     def test_oversized_json_integer_exit_2(self, tmp_path, capsys):
         # Past the interpreter's digit limit json.loads raises a plain ValueError.
         bad = tmp_path / "big.json"

@@ -13,6 +13,7 @@ from simplexcolor.geometry import (
     MAX_DECIMAL_EXPONENT,
     Hyperplane,
     Point,
+    _bareiss,
     det,
     extreme_point,
     homogeneous_orientation,
@@ -77,6 +78,21 @@ class TestRational:
     def test_oversized_exponent_rejected(self, text):
         with pytest.raises(InputError, match="decimal exponent"):
             rational(text)
+
+
+class TestPoint:
+    def test_integral_coordinates_stored_as_int(self):
+        p = Point((Fraction(4, 2), 2.0, "6/3", Fraction(1, 3), "-0.5", 7))
+        assert p.coords == (2, 2, 2, Fraction(1, 3), Fraction(-1, 2), 7)
+        assert [type(x) for x in p.coords] == [int, int, int, Fraction, Fraction, int]
+
+    def test_equality_and_hash_across_input_forms(self):
+        forms = [Point((2, Fraction(1, 3))), Point((Fraction(6, 3), "1/3")),
+                 Point(["2", Fraction(2, 6)]), Point((2.0, "2/6")), point(2, Fraction(1, 3))]
+        assert all(p == forms[0] and hash(p) == hash(forms[0]) for p in forms)
+        assert all(type(p.coords) is tuple for p in forms)
+        assert len(set(forms)) == 1
+        assert Point((1, 2)) != Point((1, Fraction(5, 2)))
 
 
 class TestOrientation:
@@ -144,6 +160,32 @@ class TestDet:
     def test_integer_rows(self):
         assert det([(2, 1), (1, 3)]) == 5
         assert det([]) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_forms_match_cofactor_expansion(self, n):
+        """_bareiss's closed forms for n <= 4, on entries up to 10^40 in
+        magnitude, singular matrices (one row an integer combination of
+        the others) and row-swapped ones (the sign flips); tuples and lists
+        both, left unchanged."""
+        rng = random.Random(40 + n)
+        singular = 0
+        for _ in range(300):
+            big = rng.choice((5, 10 ** 9, 10 ** 40))
+            rows = [[rng.randint(-big, big) if rng.random() < 0.8 else 0 for _ in range(n)]
+                    for _ in range(n)]
+            if rng.random() < 0.25:
+                b = rng.randrange(n)
+                others = [(rng.randint(-3, 3), rows[k]) for k in range(n) if k != b]
+                rows[b] = [sum(w * row[col] for w, row in others) for col in range(n)]
+            expected = cofactor_det(rows)
+            singular += expected == 0
+            frozen = tuple(map(tuple, rows))
+            assert _bareiss(frozen) == expected, rows
+            assert _bareiss(rows) == expected and rows == [list(r) for r in frozen]
+            i, j = rng.sample(range(n), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+            assert _bareiss(rows) == -expected, rows
+        assert singular >= 20
 
     def test_orientation_of_rational_points(self):
         third = Fraction(1, 3)
@@ -489,15 +531,18 @@ def test_homogeneous_orientation_matches_orientation(d):
     """The integer degeneracy check reads homogeneous rows and agrees in
     sign with `orientation`, on integer and rational simplices, including
     affinely dependent ones (a point repeated, or moved onto the affine
-    span of the others)."""
+    span of the others), and on simplices whose every denominator is about
+    10^9, so each row's weight is a product of such primes."""
     rng = random.Random(900 + d)
     signs = Counter()
-    for _ in range(400):
-        rational = rng.random() < 0.5
+    for _ in range(600):
+        kind = rng.choice(("int", "rational", "huge"))
 
         def coord():
-            if rational:
+            if kind == "rational":
                 return Fraction(rng.randint(-9, 9), rng.choice(COPRIME_DENOMINATORS))
+            if kind == "huge":
+                return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.choice((10 ** 9 + 7, 10 ** 9 + 9)))
             return Fraction(rng.randint(-3, 3))
 
         pts = [tuple(coord() for _ in range(d)) for _ in range(d + 1)]

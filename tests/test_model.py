@@ -345,12 +345,13 @@ class TestSerialization:
     def test_round_trip_exact(self, tmp_path):
         verts = (
             point(Fraction(1, 3), Fraction(-7, 11)),
-            point(2, 0),
-            point(0, Fraction(22, 7)),
+            point(Fraction(4, 2), 0.0),
+            point("0/5", Fraction(22, 7)),
         )
         c = Complex(2, verts, (Simplex((0, 1, 2)),))
         path = str(tmp_path / "c.json")
         save(c, path)
+        assert json.loads(open(path).read())["vertices"] == [["1/3", "-7/11"], [2, 0], [0, "22/7"]]
         assert load(path) == c
 
     def test_round_trip_bytes_stable(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from simplexcolor.coloring import COMBINATORIAL, GEOMETRIC, color, exact_chromatic, peel, verify_coloring
 from simplexcolor.dual import build_dual, stats
+from simplexcolor.errors import UnrealizableComplexError
 from simplexcolor.generators import (
     BOUNDARY_ABSTRACT,
     CLOSED_FAN,
@@ -105,6 +106,26 @@ def test_facet_owners_match_brute_force(corpus):
     for spec, c in corpus:
         assert list(c.facet_owners.items()) == brute_force_owners(c), spec
         assert all(type(f) is tuple for f in c.facet_owners), spec
+        keys = list(c.facet_owners)
+        assert type(c.facet_numbers) is tuple and len(c.facet_numbers) == len(c.simplices), spec
+        for s, numbers in zip(c.simplices, c.facet_numbers):
+            assert type(numbers) is tuple, spec
+            assert tuple(keys[k] for k in numbers) == s.facet_ids(), spec
+            ids = s.vertex_ids
+            assert s.facet_ids() == tuple(ids[:k] + ids[k + 1:] for k in range(len(ids)))
+
+
+def test_peel_matches_tuple_keyed_reference(corpus, tuple_keyed_peel):
+    """The facet-number peel gives the reference's certificate on every
+    corpus complex, and stalls where it stalls on boundary-abstract."""
+    for spec, c in corpus:
+        cert = peel(c, COMBINATORIAL)
+        assert [(i, f.vertex_ids) for i, f in cert.steps] == tuple_keyed_peel(c), spec
+    for d in (1, 2, 3, 4):
+        c = generate(GeneratorSpec(BOUNDARY_ABSTRACT, d))
+        with pytest.raises(UnrealizableComplexError) as stall:
+            peel(c, COMBINATORIAL)
+        assert stall.value.residual_size == len(c.simplices) - len(tuple_keyed_peel(c))
 
 
 def test_facet_owners_never_mutated(corpus):
