@@ -20,7 +20,10 @@ own denominators, and `Complex.homogeneous` keeps these rows once per
 complex.  For a face of d points the normal comes from d+1 cofactor
 minors, and one signed dot product per cloud row decides; smaller or
 affinely dependent faces go through fraction-free linear feasibility.
-`supporting_hyperplane` wraps the same kernel for rational points.
+`supporting_hyperplane` wraps the same kernel for rational points.  That
+feasibility kernel, `_cone_nonzero`, has a second caller: strict
+validation (`model._interiors_overlap`) asks it for a hyperplane that
+separates two simplices' homogeneous rows, in any dimension.
 """
 
 from __future__ import annotations
@@ -192,13 +195,8 @@ def orientation(points: list[Point], dim: int) -> int:
     for p in points:
         if p.dim != dim:
             raise InputError(f"point of dimension {p.dim} in orientation of dimension {dim}")
-    return int_orientation(clear_denominators(p.coords for p in points)[1])
-
-
-def int_orientation(pts: list[list[int]]) -> int:
-    """`orientation` for points already given in integer coordinates."""
-    base = pts[0]
-    return _sign(_bareiss([[a - b for a, b in zip(p, base)] for p in pts[1:]]))
+    base, *rest = clear_denominators(p.coords for p in points)[1]
+    return _sign(_bareiss([[a - b for a, b in zip(p, base)] for p in rest]))
 
 
 def homogeneous_orientation(rows) -> int:

@@ -20,7 +20,8 @@ from operator import ge, lt, mul
 from typing import TYPE_CHECKING
 
 from .errors import InputError, shorten
-from .geometry import Point, homogeneous_orientation, homogeneous_row, int_orientation, rational
+from .geometry import (Point, _cone_nonzero, facet_normal, homogeneous_orientation,
+                       homogeneous_row, rational)
 
 if TYPE_CHECKING:
     from .dual import DualGraph
@@ -55,9 +56,10 @@ class Simplex:
             ids = tuple(ids)
             object.__setattr__(self, "vertex_ids", ids)
         if not _all_ints(ids):
-            raise InputError(f"{type(self).__name__.lower()} ids must be integers: {ids}")
+            raise InputError(f"{type(self).__name__.lower()} ids must be integers: {shorten(str(ids))}")
         if any(map(ge, ids, ids[1:])):
-            raise InputError(f"{type(self).__name__.lower()} ids must be strictly increasing: {ids}")
+            raise InputError(f"{type(self).__name__.lower()} ids must be strictly increasing: "
+                             f"{shorten(str(ids))}")
 
     def facet_ids(self) -> tuple[tuple[int, ...], ...]:
         """The facets' vertex ids, leaving out vertex k = 0..d in turn: the
@@ -186,7 +188,6 @@ class Issue:
 class ValidationReport:
     level: str
     issues: tuple[Issue, ...] = ()
-    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -195,7 +196,6 @@ class ValidationReport:
     def summary(self) -> str:
         head = f"{self.level}: {'ok' if self.ok else f'{len(self.issues)} issue(s)'}"
         lines = [head] + [f"  [{i.code}] {i.message}" for i in self.issues]
-        lines += [f"  (note) {n}" for n in self.notes]
         return "\n".join(lines)
 
 
@@ -214,37 +214,6 @@ def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
         rank = {v: r for r, v in enumerate(sorted(set(values)))}
         columns.append([rank[v] for v in values])
     return list(zip(*columns))
-
-
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _sat_axes(a, b, d: int):
-    """Candidate separating directions for two simplices (SAT), generated
-    lazily: facet normals of both, then in 3D the edge-edge cross products."""
-    if d == 1:
-        yield (1,)
-        return
-    for pts in (a, b):
-        if d == 2:
-            for i in range(3):
-                p, q = pts[i - 1], pts[i]
-                yield (q[1] - p[1], p[0] - q[0])
-        else:
-            for skip in range(4):
-                p, q, r = (pts[k] for k in range(4) if k != skip)
-                yield _cross3([x - y for x, y in zip(q, p)], [x - y for x, y in zip(r, p)])
-    if d == 3:
-        edges_b = [[x - y for x, y in zip(q, p)] for p, q in combinations(b, 2)]
-        for p, q in combinations(a, 2):
-            ea = [x - y for x, y in zip(q, p)]
-            for eb in edges_b:
-                yield _cross3(ea, eb)
 
 
 def _wedges_overlap(a1, a2, b1, b2) -> bool:
@@ -273,11 +242,13 @@ def _along_ridge(ridge, others):
     """A simplex's two vertices outside the ridge it shares with another
     simplex (d - 1 = 1 or 2 vertices, in id order), as planar vectors seen
     along the ridge: minus its first vertex o, and in 3D projected along its
-    edge e onto a coordinate plane that e crosses.  The projection scales
-    every orientation det(e, u, w) by the same factor e_k, and from one
-    simplex's scale to the other's e changes by a positive factor only."""
+    edge e onto a coordinate plane that e crosses.  The vertices are the
+    simplex's rows over its one weight, whose last entry is ignored.  The
+    projection scales every orientation det(e, u, w) by the same factor
+    e_k, and from one simplex's weight to the other's e changes by a
+    positive factor only."""
     o = ridge[0]
-    if len(o) == 2:
+    if len(o) == 3:
         return [(p[0] - o[0], p[1] - o[1]) for p in others]
     e = [x - y for x, y in zip(ridge[1], o)]
     k = 2 if e[2] else 1 if e[1] else 0
@@ -286,41 +257,41 @@ def _along_ridge(ridge, others):
              e[k] * (p[j] - o[j]) - (p[k] - o[k]) * e[j]) for p in others]
 
 
-def _interiors_overlap(ids_a, scaled_a, ids_b, scaled_b, d: int) -> bool:
+def _interiors_overlap(ids_a, a, ids_b, b, d: int) -> bool:
     """Exact overlap test of two non-degenerate simplices, each given as
-    (scale, integer coordinates): its points times the scale.
+    homogeneous integer rows (p·q, q) over one weight q of its own.
 
     A hyperplane that separates the pair contains every shared vertex.  So
     glued pairs (d shared ids) overlap exactly when the two opposite
-    vertices lie strictly on the same side of the shared facet, and pairs
-    sharing a ridge (d - 1 ids, d >= 2) by the hyperplanes through the
-    ridge and one other vertex (`_wedges_overlap`); both read
-    each simplex in its own scale.  Other pairs run SAT at the LCM of the
-    two scales: convex simplices have disjoint interiors iff some axis
-    separates them in the closed sense (touching allowed).
+    vertices lie strictly on the same side of the shared facet, and for
+    d <= 3 pairs sharing a ridge (d - 1 ids) are decided by the hyperplanes
+    through the ridge and one other vertex (`_wedges_overlap`).  Every
+    other pair tries the facet hyperplanes of A, then those of B: one
+    separates when the other simplex lies on its closed side away from the
+    opposite vertex.  For d <= 2 these are the only candidates.  Above,
+    `geometry._cone_nonzero` decides: a nonzero y with a·y <= 0 for A's
+    rows and b·y >= 0 for B's is a separating hyperplane (the weights are
+    positive, so its normal is not zero), and convex simplices have
+    disjoint interiors iff one exists (touching allowed).
     """
-    (s_a, a), (s_b, b) = scaled_a, scaled_b
     shared_a, others_a, shared_b, others_b = [], [], [], []
-    for v, p in zip(ids_a, a):
-        (shared_a if v in ids_b else others_a).append(p)
-    if shared_a and d - 1 <= len(shared_a) <= d:  # a duplicate, d + 1, runs SAT
-        for v, p in zip(ids_b, b):
-            (shared_b if v in ids_a else others_b).append(p)
+    for v, row in zip(ids_a, a):
+        (shared_a if v in ids_b else others_a).append(row)
+    if shared_a and (len(shared_a) == d or len(shared_a) == d - 1 and d <= 3):
+        for v, row in zip(ids_b, b):
+            (shared_b if v in ids_a else others_b).append(row)
         if len(shared_a) == d:
-            return int_orientation(shared_a + others_a) == int_orientation(shared_b + others_b)
+            return (homogeneous_orientation(shared_a + others_a)
+                    == homogeneous_orientation(shared_b + others_b))
         return _wedges_overlap(*_along_ridge(shared_a, others_a), *_along_ridge(shared_b, others_b))
-    if s_a != s_b:
-        common = lcm(s_a, s_b)
-        a = [[x * (common // s_a) for x in p] for p in a]
-        b = [[x * (common // s_b) for x in p] for p in b]
-    for axis in _sat_axes(a, b, d):
-        if not any(axis):
-            continue
-        proj_a = [sum(map(mul, axis, p)) for p in a]
-        proj_b = [sum(map(mul, axis, p)) for p in b]
-        if max(proj_a) <= min(proj_b) or max(proj_b) <= min(proj_a):
-            return False
-    return True
+    for rows, other in ((a, b), (b, a)):
+        for k in range(d + 1):
+            h = facet_normal(rows[:k] + rows[k + 1:])
+            if sum(map(mul, h, rows[k])) > 0:
+                h = [-x for x in h]
+            if all(sum(map(mul, h, row)) >= 0 for row in other):
+                return False
+    return d <= 2 or _cone_nonzero(a + [[-x for x in row] for row in b], d + 1) is None
 
 
 def _box_cells(boxes, d: int):
@@ -355,8 +326,8 @@ def _overlapping_pairs(c: Complex, live: list[int]):
     with an x-sweep inside each cell.  Two boxes whose interiors meet both
     reach the per-axis maximum of their lower corners, and the pair is
     tested only in the cell holding that point.  Narrow phase: each simplex
-    gets integer coordinates once, from the cached homogeneous rows of its
-    vertices scaled to the LCM of their weights, for `_interiors_overlap`.
+    gets its rows once, the cached homogeneous rows of its vertices over
+    the LCM of their weights, for `_interiors_overlap`.
     """
     d = c.dimension
     ranks = _axis_ranks(c)
@@ -372,7 +343,8 @@ def _overlapping_pairs(c: Complex, live: list[int]):
     for i in live:
         corners = [rows[v] for v in simplices[i].vertex_ids]
         q = lcm(*(row[d] for row in corners))
-        scaled[i] = q, [[x * (q // row[d]) for x in row[:d]] for row in corners]
+        scaled[i] = [row if row[d] == q else tuple(x * (q // row[d]) for x in row)
+                     for row in corners]
     found = []
     for cell, members in _box_cells(boxes, d).items():
         for m, (a, lo_i, hi_i, i, home_i) in enumerate(members):
@@ -399,19 +371,20 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
 
     combinatorial: non-degenerate simplices, facet multiplicity <= 2, no
     duplicate simplices, distinct coordinates for distinct vertex ids.
-    geometric-strict: additionally pairwise interior-disjointness (d <= 3),
-    reported pair by pair in the order of the simplices' bounding boxes.
-    Boxes are compared in a grid over axes 1..d-1 with an x-sweep in each
-    cell.  Pairs sharing d ids are decided by the sides of the shared
-    facet, pairs sharing d - 1 ids by the hyperplanes through the shared
-    ridge and one other vertex, and the rest by the separating-axis test,
-    all in exact integer arithmetic.
+    geometric-strict: additionally pairwise interior-disjointness, in every
+    dimension, reported pair by pair in the order of the simplices'
+    bounding boxes.  Boxes are compared in a grid over axes 1..d-1 with an
+    x-sweep in each cell.  Pairs sharing d ids are decided by the sides of
+    the shared facet, and in d <= 3 pairs sharing d - 1 ids by the
+    hyperplanes through the shared ridge and one other vertex.  Every other
+    pair tries the facet hyperplanes of both simplices as separating
+    witnesses; if none separates, the pair overlaps in d <= 2, and in
+    higher d the cone kernel `geometry._cone_nonzero` looks for any
+    separating hyperplane.  All of it runs in exact integer arithmetic.
     """
     if level not in (COMBINATORIAL, GEOMETRIC_STRICT):
         raise InputError(f"unknown validation level {level!r}")
     issues: list[Issue] = []
-    notes: list[str] = []
-    d = c.dimension
 
     seen: dict[tuple[int, ...], int] = {}
     for i, s in enumerate(c.simplices):
@@ -450,18 +423,14 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
                 )
 
     if level == GEOMETRIC_STRICT:
-        if d > 3:
-            notes.append(f"interior-overlap check skipped for dimension {d} (supported up to 3)")
-        else:
-            live = [i for i in range(len(c.simplices)) if i not in degenerate]
-            for pair in _overlapping_pairs(c, live):
-                issues.append(
-                    Issue("interior-overlap",
-                          f"simplices {pair[0]} and {pair[1]} have overlapping interiors",
-                          pair)
-                )
+        live = [i for i in range(len(c.simplices)) if i not in degenerate]
+        for pair in _overlapping_pairs(c, live):
+            issues.append(
+                Issue("interior-overlap",
+                      f"simplices {pair[0]} and {pair[1]} have overlapping interiors", pair)
+            )
 
-    return ValidationReport(level, tuple(issues), tuple(notes))
+    return ValidationReport(level, tuple(issues))
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +465,19 @@ def complex_from_dict(data: dict) -> Complex:
     if not _is_int(d):
         raise InputError("'dimension' must be an integer")
     vertex_rows, simplex_rows = _rows(data, "vertices"), _rows(data, "simplices")
-    for k, row in enumerate(simplex_rows):
-        if not _all_ints(row):
-            raise InputError(f"simplex {k} has a vertex id that is not an integer: {row}")
     if any(isinstance(x, bool) for row in vertex_rows for x in row):
         raise InputError("a vertex coordinate is a boolean, not a number")
     try:
         vertices = tuple(Point(row) for row in vertex_rows)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad complex JSON: {shorten(str(exc))}") from exc
-    return Complex(d, vertices, tuple(Simplex(tuple(row)) for row in simplex_rows))
+    simplices = []
+    for k, row in enumerate(simplex_rows):
+        try:
+            simplices.append(Simplex(tuple(row)))
+        except InputError as exc:
+            raise InputError(f"simplex {k}: {exc}") from exc
+    return Complex(d, vertices, tuple(simplices))
 
 
 def coloring_to_dict(col: Coloring) -> dict:

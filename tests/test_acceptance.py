@@ -1,12 +1,12 @@
 """Acceptance suite.
 
 One test per acceptance criterion, plus strict validation of the larger
-planar and 3D instances and the geometric peel at scale, each printing a
-PASS line with the measured numbers (run with `pytest -s
+planar, 3D and 4D instances and the geometric peel at scale, each
+printing a PASS line with the measured numbers (run with `pytest -s
 tests/test_acceptance.py` to see them).  Tolerances are exact wherever
 rational arithmetic decides, and the only timing budget is 10 seconds per
 big instance, for the color pipeline, for the geometric peel and for 3D
-strict validation.
+and 4D strict validation.
 """
 
 import time
@@ -292,6 +292,27 @@ def test_strict_validation_of_large_3d_instances(corpus):
         assert elapsed < TIME_BUDGET, (label, elapsed)
         times.append(f"{label} ({len(c.simplices)}) {elapsed:.2f}s")
     print("PASS strict validation in 3D: " + ", ".join(times))
+
+
+def test_strict_validation_in_4d(corpus):
+    """Every d = 4 corpus instance passes geometric-strict validation within
+    the time budget: the overlap check runs in every dimension, so criteria
+    3 and 4 do not take these instances on trust."""
+    cases = [(label, c) for label, _kind, d, c in corpus if d == 4]
+    assert {label for label, _c in cases} == {
+        "fan-d4-s5-seed0", "fan-d4-s30-seed0", "freudenthal-d4-s1-seed0",
+        "freudenthal-d4-s2-seed0", "freudenthal-d4-s4-seed0", "path-d4-s5-seed0",
+        "path-d4-s10000-seed0",
+    }
+    times = []
+    for label, c in cases:
+        t0 = time.perf_counter()
+        report = validate(c, GEOMETRIC_STRICT)
+        elapsed = time.perf_counter() - t0
+        assert report.ok, (label, report.summary())
+        assert elapsed < TIME_BUDGET, (label, elapsed)
+        times.append(f"{label} ({len(c.simplices)}) {elapsed:.2f}s")
+    print("PASS strict validation in 4D: " + ", ".join(times))
 
 
 def test_criterion_3_no_forbidden_clique(corpus):

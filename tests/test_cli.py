@@ -166,13 +166,18 @@ class TestColorVerify:
         ("word.json", '{"dimension": 2, "vertices": [[0, 0], ["%s", 0], [0, 1]], '
                       '"simplices": [[0, 1, 2]]}' % ("x" * 100000)),
         ("coordinate.off", "OFF\n3 1 0\n0 0\n%s 0\n0 1\n3 0 1 2\n" % ("1/" * 50000)),
-    ], ids=["json-exponent", "json-non-numeric", "off-coordinate"])
+        ("id.json", json.dumps({"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+                                "simplices": [[0, 1, "x" * 100000]]})),
+        ("row.json", json.dumps({"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+                                 "simplices": [list(range(30000, 0, -1))]})),
+    ], ids=["json-exponent", "json-non-numeric", "off-coordinate", "simplex-id", "simplex-row"])
     def test_long_bad_token_is_not_echoed(self, tmp_path, capsys, name, content):
         bad = tmp_path / name
         bad.write_text(content)
         assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:") and len(err.encode()) < 1000, err[:2000]
+        assert err.count(str(bad)) == 1
 
     def test_oversized_json_integer_exit_2(self, tmp_path, capsys):
         # Past the interpreter's digit limit json.loads raises a plain ValueError.

@@ -278,6 +278,15 @@ class TestPeel:
             load_certificate(str(p))
 
 
+def test_long_certificate_facet_is_not_echoed(tmp_path):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps({"method": "combinatorial", "steps": [[0, list(range(30000, 0, -1))]]}))
+    with pytest.raises(InputError, match="facet ids must be strictly increasing") as info:
+        load_certificate(str(p))
+    message = str(info.value)
+    assert message.startswith(f"{p}: ") and message.count(str(p)) == 1 and len(message) < 1000
+
+
 @pytest.mark.parametrize("steps", [
     "xx", [[0]], [[0, [1, 2], 3]], [[0.5, [1, 2]]], [[True, [1, 2]]],
     [[0, [1, 2.0]]], [[0, [False, 1]]], [[0, "12"]], [[0, [2, 1]]], 7,

@@ -140,8 +140,7 @@ class TestPath:
     def test_chain(self, d, n):
         c = generate(GeneratorSpec(PATH, d, n))
         assert len(c.simplices) == n
-        level = GEOMETRIC_STRICT if d <= 3 else COMBINATORIAL
-        assert validate(c, level).ok
+        assert validate(c, GEOMETRIC_STRICT).ok
         g = build_dual(c)
         degrees = sorted(g.degree(i) for i in range(n))
         if n == 1:
@@ -163,6 +162,16 @@ class TestBoundaryAbstract:
             shared = set(c.simplices[i].vertex_ids) & set(c.simplices[j].vertex_ids)
             assert len(shared) == d
         assert find_clique(build_dual(c), d + 2) is not None
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_strict_report_lists_the_pairs_with_simplex_0(self, d):
+        # Simplex 0 is the standard simplex; every other one is the cone
+        # from its centroid, the last vertex, over one of its facets.  So
+        # simplex 0 overlaps each of them, and they tile it.
+        c = generate(GeneratorSpec(BOUNDARY_ABSTRACT, d))
+        rep = validate(c, GEOMETRIC_STRICT)
+        assert [i.code for i in rep.issues] == ["interior-overlap"] * (d + 1)
+        assert [i.where for i in rep.issues] == [(0, k) for k in range(1, d + 2)]
 
     def test_not_geometrically_valid(self):
         c = generate(GeneratorSpec(BOUNDARY_ABSTRACT, 2))

@@ -5,9 +5,12 @@ import time
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 import pytest
 
+import simplexcolor.model as model_module
 from simplexcolor.coloring import color, peel, save_certificate
 from simplexcolor.errors import InputError
 from simplexcolor.generators import GeneratorSpec, generate
@@ -111,6 +114,16 @@ class TestValueClasses:
     def test_complex_rejects_non_integer_simplex_ids(self):
         with pytest.raises(InputError, match="simplex ids must be integers"):
             Complex(2, (point(0, 0), point(1, 0), point(0, 1)), ((0, 1.9, 2),))
+
+    @pytest.mark.parametrize("row, message", [
+        ([2, 1, 0], "simplex ids must be strictly increasing: (2, 1, 0)"),
+        ([0, 1.9, 2], "simplex ids must be integers: (0, 1.9, 2)"),
+    ])
+    def test_complex_from_dict_names_the_simplex(self, row, message):
+        data = {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+                "simplices": [[0, 1, 2], row]}
+        with pytest.raises(InputError, match=f"^{re.escape('simplex 1: ' + message)}$"):
+            complex_from_dict(data)
 
     def test_facet_is_a_simplex_with_its_own_name(self):
         f = Facet((0, 2))
@@ -799,6 +812,96 @@ def test_ridge_pairs_match_fraction_sat_oracle(d, rational):
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
         verdicts[expected] += 1
     assert min(verdicts) >= 20, verdicts
+
+
+# ---------------------------------------------------------------------------
+# Strict validation in every dimension against a brute-force exact oracle
+
+
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row, closed form
+    at 2×2; exact on any ring."""
+    if len(rows) <= 2:
+        if len(rows) == 2:
+            (a, b), (c, e) = rows
+            return a * e - b * c
+        return rows[0][0] if rows else 1
+    return sum((-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def normal_of(vectors, d):
+    """A vector orthogonal to d - 1 vectors in Z^d: entry j is (-1)^j times
+    the minor that leaves out column j, all zero when the vectors are
+    dependent.  For d = 1 it is (1,)."""
+    return tuple((-1) ** j * laplace_det([v[:j] + v[j + 1:] for v in vectors]) for j in range(d))
+
+
+def brute_force_interiors_overlap(pts_a, pts_b, d):
+    """Brute-force oracle in any d, for rational points.  A facet of A - B is
+    spanned by d - 1 edge directions of A or of B, so the normals of every
+    d - 1 of both simplices' edge directions include every facet normal of
+    A - B, and the interiors are disjoint iff one of them separates A and B
+    in the closed sense.  The points are first scaled by the LCM of all
+    their denominators, a positive factor that changes no answer, so the
+    search runs on integers."""
+    scale = lcm(*(Fraction(x).denominator for p in pts_a + pts_b for x in p))
+    pts_a, pts_b = ([tuple(int(x * scale) for x in p) for p in pts] for pts in (pts_a, pts_b))
+    edges = sorted({tuple(q[k] - p[k] for k in range(d))
+                    for pts in (pts_a, pts_b) for p, q in combinations(pts, 2)})
+    for vectors in combinations(edges, d - 1):
+        axis = normal_of(vectors, d)
+        if not any(axis):
+            continue
+        proj_a = [sum(map(mul, axis, p)) for p in pts_a]
+        proj_b = [sum(map(mul, axis, p)) for p in pts_b]
+        if max(proj_a) <= min(proj_b) or max(proj_b) <= min(proj_a):
+            return False
+    return True
+
+
+PRIME = 10 ** 9 + 7
+CASES_BY_DIMENSION = {1: 300, 2: 300, 3: 300, 4: 200}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("rational", [False, True])
+def test_strict_overlap_matches_brute_force_oracle_in_every_dimension(d, rational, monkeypatch):
+    """Random simplex pairs sharing 0..d vertex ids: the strict report flags
+    exactly the pairs the oracle does.  Rational coordinates sit within
+    2/(10^9+7) of small integers, so pairs that touch at the integer points
+    are pushed into tiny overlaps or tiny gaps.  Only d >= 3 reaches the
+    cone kernel; for d <= 2 the facet hyperplanes decide alone."""
+    rng = random.Random(700 + 10 * d + rational)
+    cone_calls = []
+    cone = model_module._cone_nonzero
+    monkeypatch.setattr(model_module, "_cone_nonzero",
+                        lambda zs, m: cone_calls.append(m) or cone(zs, m))
+
+    def coord():
+        x = Fraction(rng.randint(-3, 3))
+        return x + Fraction(rng.randint(-2, 2), PRIME) if rational else x
+
+    by_shared = {k: [0, 0] for k in range(d + 1)}  # [disjoint, overlapping]
+    for _ in range(CASES_BY_DIMENSION[d]):
+        shared = rng.randint(0, d)
+        verts = [tuple(coord() for _ in range(d)) for _ in range(2 * (d + 1) - shared)]
+        ids_a = list(range(d + 1))
+        ids_b = sorted(rng.sample(ids_a, shared) + list(range(d + 1, len(verts))))
+        pts_a = [verts[v] for v in ids_a]
+        pts_b = [verts[v] for v in ids_b]
+        if is_degenerate(pts_a) or is_degenerate(pts_b):
+            continue
+        c = Complex(d, tuple(point(*v) for v in verts), (Simplex(tuple(ids_a)), Simplex(tuple(ids_b))))
+        expected = brute_force_interiors_overlap(pts_a, pts_b, d)
+        assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
+        by_shared[shared][expected] += 1
+    for k, (disjoint, overlapping) in by_shared.items():
+        assert disjoint >= 3 and overlapping >= 3, (k, by_shared)
+    if d <= 2:
+        assert not cone_calls
+    else:
+        assert len(cone_calls) >= 10 and set(cone_calls) == {d + 1}, len(cone_calls)
 
 
 def sweep_order(c):
