@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .dual import DualGraph, build_dual
 from .errors import ColoringError, InputError, InvariantError, UnrealizableComplexError
@@ -210,14 +210,12 @@ def find_exposed_geometric(c: Complex):
 def _peel_combinatorial(c: Complex) -> PeelCertificate:
     """Lowest-index exposed simplex first, on facet numbers: mult[k] counts
     the live owners of facet k, so when it falls to 1 the other simplex of
-    k's owner pair is the live one.  The witness is the lexicographically
-    smallest exposed facet, the last exposed one in facet_ids order."""
+    k's owner pair is the live one (`peel` has rejected any facet with more
+    owners).  The witness is the lexicographically smallest exposed facet,
+    the last exposed one in facet_ids order."""
     n = len(c.simplices)
     owners = list(c.facet_owners.values())
     mult = list(map(len, owners))
-    if max(mult, default=0) > 2:
-        f, own = next((f, own) for f, own in c.facet_owners.items() if len(own) > 2)
-        raise InputError(f"invalid complex: facet {f} shared by {len(own)} simplices")
 
     numbers, simplices, last = c.facet_numbers, c.simplices, c.dimension
     alive = [True] * n
@@ -279,14 +277,14 @@ def _peel_geometric(c: Complex) -> PeelCertificate:
 def peel(c: Complex, method: str = COMBINATORIAL) -> PeelCertificate:
     """Remove exposed simplices until the complex is empty.
 
-    Raises UnrealizableComplexError if some residual complex has no
-    exposed facet (impossible for geometrically valid complexes).
+    Raises InputError for a facet of more than two simplices, under
+    either method, and UnrealizableComplexError if some residual complex
+    has no exposed facet (impossible for geometrically valid complexes).
     """
-    if method == COMBINATORIAL:
-        return _peel_combinatorial(c)
-    if method == GEOMETRIC:
-        return _peel_geometric(c)
-    raise InputError(f"unknown peel method {method!r}")
+    if method not in (COMBINATORIAL, GEOMETRIC):
+        raise InputError(f"unknown peel method {method!r}")
+    build_dual(c)
+    return _peel_combinatorial(c) if method == COMBINATORIAL else _peel_geometric(c)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ def color(c: Complex, cert: PeelCertificate) -> Coloring:
     d = c.dimension
     colors = [-1] * n
     for i, _witness in reversed(cert.steps):
-        used = {colors[j] for j, _ in adjacency[i] if colors[j] >= 0}
+        used = {colors[j] for j in adjacency[i] if colors[j] >= 0}
         chosen = next(k for k in range(d + 2) if k not in used)
         if chosen > d:
             raise InvariantError(
@@ -328,11 +326,14 @@ def verify_coloring(c: Complex, col: Coloring):
         if not 0 <= k <= d:
             violations.append(("color-range", i, k))
     # Edge order, as DualGraph.edges() lists them.
-    for i, nbrs in enumerate(build_dual(c).adjacency):
-        k = colors[i]
-        for j, f in nbrs:
-            if i < j and colors[j] == k:
-                violations.append(("conflict", i, j, f.vertex_ids))
+    conflicts = [(i, j) for i, nbrs in enumerate(build_dual(c).adjacency)
+                 for j in nbrs if i < j and colors[j] == colors[i]]
+    # Each conflict names the facet the pair shares; two identical
+    # simplices are listed once per facet, in increasing order.
+    for (i, j), _ in groupby(conflicts):
+        ids = set(c.simplices[j].vertex_ids)
+        violations += [("conflict", i, j, f) for f in sorted(c.simplices[i].facet_ids())
+                       if ids.issuperset(f)]
     return not violations, violations
 
 
@@ -355,7 +356,7 @@ class _Dsatur:
 
     def __init__(self, g: DualGraph):
         n = g.node_count
-        self.neighbors = [g.neighbors(v) for v in range(n)]
+        self.neighbors = g.adjacency
         self.colors = [-1] * n
         self.neighbor_colors: list[set[int]] = [set() for _ in range(n)]
         self._rebuild()
@@ -411,7 +412,7 @@ def _greedy_dsatur(g: DualGraph) -> list[int]:
 def _max_clique_size(g: DualGraph) -> int:
     n = g.node_count
     best = 1 if n else 0
-    nbrs = [set(g.neighbors(v)) for v in range(n)]
+    nbrs = list(map(set, g.adjacency))
 
     def grow(current: int, candidates: set[int]):
         nonlocal best

@@ -14,31 +14,28 @@ from operator import mul
 
 from .errors import InputError
 from .geometry import facet_normal
-from .model import Complex, Facet
+from .model import Complex
 
 
 @dataclass(frozen=True)
 class DualGraph:
-    """adjacency[i] holds (neighbor, shared facet) pairs, by neighbor.  The
-    library's per-node loops read it directly; `neighbors` builds a tuple
-    per call."""
+    """adjacency[i] holds node i's neighbors in increasing order.  The
+    facet two neighbors share is the intersection of their vertex ids."""
 
-    node_count: int
-    adjacency: tuple[tuple[tuple[int, Facet], ...], ...]
+    adjacency: tuple[tuple[int, ...], ...]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.adjacency)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.adjacency[i])
+        return self.adjacency[i]
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
-    def edges(self) -> list[tuple[int, int, Facet]]:
-        out = []
-        for i, nbrs in enumerate(self.adjacency):
-            for j, f in nbrs:
-                if i < j:
-                    out.append((i, j, f))
-        return out
+    def edges(self) -> list[tuple[int, int]]:
+        return [(i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j]
 
 
 @dataclass(frozen=True)
@@ -68,21 +65,17 @@ def build_dual(c: Complex) -> DualGraph:
 
 def _facet_adjacency(c: Complex) -> DualGraph:
     """Build the dual graph from c.facet_owners (the body of Complex.dual)."""
-    adjacency: list[list[tuple[int, Facet]]] = [[] for _ in c.simplices]
+    adjacency: list[list[int]] = [[] for _ in c.simplices]
     for f, own in c.facet_owners.items():
         if len(own) == 2:
             i, j = own
-            facet = Facet._sliced(f)
-            adjacency[i].append((j, facet))
-            adjacency[j].append((i, facet))
+            adjacency[i].append(j)
+            adjacency[j].append(i)
         elif len(own) > 2:
             raise InputError(
                 f"invalid complex: facet {f} shared by {len(own)} simplices"
             )
-    return DualGraph(
-        len(c.simplices),
-        tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-    )
+    return DualGraph(tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
 
 
 def stats(g: DualGraph, d: int) -> GraphStats:
@@ -106,7 +99,7 @@ def stats(g: DualGraph, d: int) -> GraphStats:
         seen[start] = True
         while stack:
             v = stack.pop()
-            for w, _ in adjacency[v]:
+            for w in adjacency[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -120,8 +113,7 @@ def stats(g: DualGraph, d: int) -> GraphStats:
 
 
 def _is_clique(g: DualGraph, nodes: tuple[int, ...]) -> bool:
-    neighbor_sets = {v: {u for u, _ in g.adjacency[v]} for v in nodes}
-    return all(b in neighbor_sets[a] for a, b in combinations(nodes, 2))
+    return all(b in g.adjacency[a] for a, b in combinations(nodes, 2))
 
 
 def _cliques(g: DualGraph, r: int):
@@ -133,7 +125,7 @@ def _cliques(g: DualGraph, r: int):
     if r < 2:
         raise InputError(f"clique size must be >= 2, got {r}")
     for v, nbrs in enumerate(g.adjacency):
-        above = [u for u, _ in nbrs if u > v]
+        above = [u for u in nbrs if u > v]
         for rest in combinations(above, r - 1):
             if _is_clique(g, rest):
                 yield [v] + list(rest)

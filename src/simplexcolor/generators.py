@@ -152,11 +152,11 @@ def _ring_directions(k: int) -> list[tuple[Fraction, Fraction]]:
 
 def _ring(d: int, k: int) -> Complex:
     """k d-simplices glued in a cycle around a common (d-2)-face."""
-    hinge = [tuple(Fraction(0) for _ in range(d))]
+    hinge = [(0,) * d]
     for j in range(d - 2):
-        hinge.append(tuple(Fraction(1 if i == j else 0) for i in range(d)))
+        hinge.append(tuple(1 if i == j else 0 for i in range(d)))
     ring = [
-        tuple([Fraction(0)] * (d - 2) + [cx, sx])
+        tuple([0] * (d - 2) + [cx, sx])
         for cx, sx in _ring_directions(k)
     ]
     vertices = tuple(Point(p) for p in hinge + ring)
@@ -178,7 +178,7 @@ def _tri_tiling(m: int) -> Complex:
         return j * (m + 1) + i
 
     vertices = tuple(
-        Point((Fraction(i) + Fraction(j, 2), Fraction(j)))
+        Point((i + Fraction(j, 2), j))
         for j in range(m + 1)
         for i in range(m + 1)
     )
@@ -205,8 +205,7 @@ def _freudenthal(d: int, m: int) -> Complex:
         return acc
 
     vertices = tuple(
-        Point(tuple(Fraction(c) for c in coords))
-        for coords in product(range(side), repeat=d)
+        Point(coords) for coords in product(range(side), repeat=d)
     )
     simplices = []
     for corner in product(range(m), repeat=d):
@@ -230,7 +229,7 @@ def _path(d: int, n: int) -> Complex:
         step = list(walk[-1])
         step[j % d] += 1
         walk.append(tuple(step))
-    vertices = tuple(Point(tuple(Fraction(c) for c in p)) for p in walk)
+    vertices = tuple(Point(p) for p in walk)
     simplices = tuple(
         Simplex(tuple(range(j, j + d + 1))) for j in range(n)
     )
@@ -242,9 +241,9 @@ def _path(d: int, n: int) -> Complex:
 
 
 def _boundary_abstract(d: int) -> Complex:
-    pts = [tuple(Fraction(0) for _ in range(d))]
+    pts = [(0,) * d]
     for j in range(d):
-        pts.append(tuple(Fraction(1 if i == j else 0) for i in range(d)))
+        pts.append(tuple(1 if i == j else 0 for i in range(d)))
     pts.append(tuple(Fraction(1, d + 1) for _ in range(d)))
     vertices = tuple(Point(p) for p in pts)
     simplices = tuple(
@@ -378,10 +377,7 @@ def _delaunay2d(n: int, seed: int) -> Complex:
         raise InputError("degenerate point set: no triangle survives")
     used = sorted({v for ids in real for v in ids})
     remap = {v: i for i, v in enumerate(used)}
-    vertices = tuple(
-        Point((Fraction(tri.points[v][0]), Fraction(tri.points[v][1])))
-        for v in used
-    )
+    vertices = tuple(Point(tri.points[v]) for v in used)
     simplices = tuple(
         Simplex(tuple(sorted(remap[v] for v in ids))) for ids in sorted(real)
     )

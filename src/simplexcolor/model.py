@@ -566,6 +566,8 @@ def _load_off(path: str) -> Complex:
         nv, nf = int(counts[0]), int(counts[1])
     except ValueError as exc:
         raise InputError(f"{path}:{lines[1][0]}: bad counts line") from exc
+    if nv < 0 or nf < 0:
+        raise InputError(f"{path}:{lines[1][0]}: negative vertex or face count")
     body = lines[2:]
     if len(body) < nv + nf:
         raise InputError(f"{path}: expected {nv} vertex and {nf} face lines")
@@ -590,6 +592,8 @@ def _load_off(path: str) -> Complex:
             raise InputError(f"{path}:{lineno}: bad face line") from exc
         if k != 3:
             raise InputError(f"{path}:{lineno}: face with {k} vertices; only triangles are accepted")
+        if len(ids) < k:
+            raise InputError(f"{path}:{lineno}: face lists {len(ids)} of its {k} vertex ids")
         if len(set(ids)) != 3:
             raise InputError(f"{path}:{lineno}: face repeats a vertex")
         simplices.append(Simplex(tuple(sorted(ids))))

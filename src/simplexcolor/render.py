@@ -107,7 +107,7 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
             cden = 3 * den * q
             centroids.append((_fixed3(xa * ka + xb * kb + xc * kc, cden),
                               _fixed3(ya * ka + yb * kb + yc * kc, cden)))
-        for i, j, _f in build_dual(c).edges():
+        for i, j in build_dual(c).edges():
             (x1, y1), (x2, y2) = centroids[i], centroids[j]
             lines.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '

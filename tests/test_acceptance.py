@@ -407,7 +407,7 @@ def test_criterion_7_closed_fan_parity():
     for n in range(3, 15):
         c = generate(GeneratorSpec(CLOSED_FAN, 2, n))
         g = build_dual(c)
-        edges = [(i, j) for i, j, _ in g.edges()]
+        edges = g.edges()
         two_colorable = any(
             all(a[i] != a[j] for i, j in edges)
             for a in product((0, 1), repeat=n)

@@ -117,7 +117,23 @@ class TestColorVerify:
         bad = tmp_path / "bad.json"
         bad.write_text('{"colors": [0, 0, 0]}')
         assert run("verify", fan_file, str(bad)) == 4
-        assert "conflict" in capsys.readouterr().err
+        # The fan's simplices are (0, 1, 2), (0, 2, 3) and (0, 1, 3).
+        assert capsys.readouterr().err == (
+            "conflict: simplices 0 and 1 share facet (0, 2) and color 0\n"
+            "conflict: simplices 0 and 2 share facet (0, 1) and color 0\n"
+            "conflict: simplices 1 and 2 share facet (0, 3) and color 0\n"
+        )
+
+    @pytest.mark.parametrize("method", ["combinatorial", "geometric"])
+    def test_overglued_facet_exit_2_under_both_methods(self, tmp_path, capsys, method):
+        # Three triangles on the edge (0, 1), apexes on both of its sides.
+        path = tmp_path / "overglued.json"
+        path.write_text('{"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [0, -1]], '
+                        '"simplices": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}')
+        out = tmp_path / "o.json"
+        assert run("color", str(path), "--method", method, "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: invalid complex: facet (0, 1) shared by 3 simplices\n"
+        assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("color", str(tmp_path / "void.json"), "-o", str(tmp_path / "o")) == 2
@@ -244,6 +260,17 @@ class TestColorVerify:
         assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:") and err.count(str(bad)) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ("OFF\n-1 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n", "2: negative vertex or face count"),
+        ("OFF\n3 -1 0\n0 0\n1 0\n0 1\n3 0 1 2\n", "2: negative vertex or face count"),
+        ("OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1\n", "6: face lists 2 of its 3 vertex ids"),
+    ], ids=["vertex-count", "face-count", "short-face"])
+    def test_bad_off_counts_exit_2(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.off"
+        bad.write_text(content)
+        assert run("color", str(bad), "-o", str(tmp_path / "o.json")) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{message}\n"
 
     def test_color_then_verify_generator_outputs(self, tmp_path):
         cases = [

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -26,6 +26,7 @@ from simplexcolor.coloring import (
 )
 from simplexcolor.dual import DualGraph, build_dual
 from simplexcolor.errors import InputError, UnrealizableComplexError
+from simplexcolor.generators import GeneratorSpec, generate
 from simplexcolor.geometry import point
 from simplexcolor.model import (
     GEOMETRIC_STRICT,
@@ -127,7 +128,7 @@ def brute_chromatic(g, max_k=6):
     n = g.node_count
     if n == 0:
         return 0
-    edges = [(i, j) for i, j, _ in g.edges()]
+    edges = g.edges()
     for k in range(1, max_k + 1):
         for assignment in product(range(k), repeat=n):
             if all(assignment[i] != assignment[j] for i, j in edges):
@@ -258,6 +259,15 @@ class TestPeel:
         with pytest.raises(UnrealizableComplexError):
             peel(tetra_boundary_in_plane(), method)
 
+    @pytest.mark.parametrize("method", [COMBINATORIAL, GEOMETRIC])
+    def test_overglued_facet_rejected(self, method):
+        # The edge (1, 2) is in three triangles.  The geometric descent
+        # alone would peel this complex; peel rejects it before any finder.
+        verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1), point(-1, -1))
+        c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3)), Simplex((1, 2, 4))))
+        with pytest.raises(InputError, match=r"^invalid complex: facet \(1, 2\) shared by 3 simplices$"):
+            peel(c, method)
+
     def test_determinism(self):
         c = closed_fan(RING6)
         assert peel(c) == peel(c)
@@ -341,6 +351,27 @@ class TestVerify:
         ok, violations = verify_coloring(two_glued(), Coloring((0, 0)))
         assert not ok
         assert violations == [("conflict", 0, 1, (1, 2))]
+        # One color everywhere: every glued pair conflicts, and each
+        # conflict names the ids the pair shares, found here by brute force.
+        for spec in (GeneratorSpec("delaunay2d", 2, 60, 3), GeneratorSpec("freudenthal", 3, 2),
+                     GeneratorSpec("path", 4, 12)):
+            c = generate(spec)
+            ok, violations = verify_coloring(c, Coloring((0,) * len(c.simplices)))
+            expected = []
+            for i, j in combinations(range(len(c.simplices)), 2):
+                shared = set(c.simplices[i].vertex_ids) & set(c.simplices[j].vertex_ids)
+                if len(shared) == c.dimension:
+                    expected.append(("conflict", i, j, tuple(sorted(shared))))
+            assert not ok and violations == expected, spec
+
+    def test_identical_simplices_conflict_once_per_facet(self):
+        # verify_coloring does not validate: two copies of one triangle
+        # share all three of its facets.
+        c = Complex(2, unit_triangle().vertices, (Simplex((0, 1, 2)),) * 2)
+        ok, violations = verify_coloring(c, Coloring((1, 1)))
+        assert not ok
+        assert violations == [("conflict", 0, 1, (0, 1)), ("conflict", 0, 1, (0, 2)),
+                              ("conflict", 0, 1, (1, 2))]
 
     def test_out_of_range_color(self):
         ok, violations = verify_coloring(unit_triangle(), Coloring((5,)))
@@ -382,7 +413,7 @@ class TestExactChromatic:
     def test_optimal_coloring_is_proper(self):
         g = build_dual(closed_fan(RING5))
         res = exact_chromatic(g)
-        for i, j, _ in g.edges():
+        for i, j in g.edges():
             assert res.optimal_coloring.colors[i] != res.optimal_coloring.colors[j]
         assert len(set(res.optimal_coloring.colors)) == res.chromatic_number
 
@@ -491,10 +522,9 @@ def random_graph(rng):
         edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
     adjacency = [[] for _ in range(n)]
     for i, j in {(min(e), max(e)) for e in edges}:
-        f = Facet((i, j))
-        adjacency[i].append((j, f))
-        adjacency[j].append((i, f))
-    return DualGraph(n, tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return DualGraph(tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
 
 
 def test_dsatur_heap_matches_scan_reference(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -98,18 +99,28 @@ class TestBuildDual:
             shared = set(c.simplices[i].vertex_ids) & set(c.simplices[j].vertex_ids)
             if len(shared) == 3:
                 expected.add((i, j))
-        got = {(i, j) for i, j, _ in g.edges()}
+        got = set(g.edges())
         assert got == expected
         assert len(got) == 6  # a 6-cycle around the main diagonal
         assert all(g.degree(i) == 2 for i in range(6))
 
-    def test_edge_labels_are_shared_facets(self):
-        c = fan_k3()
-        g = build_dual(c)
-        for i, j, f in g.edges():
-            a = set(c.simplices[i].vertex_ids)
-            b = set(c.simplices[j].vertex_ids)
-            assert set(f.vertex_ids) == a & b
+    def test_edges_join_simplices_sharing_a_facet(self):
+        for c in (fan_k3(), freudenthal_unit_cube(), four_tetrahedra_k4()):
+            g = build_dual(c)
+            assert g.edges()
+            for i, j in g.edges():
+                a = set(c.simplices[i].vertex_ids)
+                b = set(c.simplices[j].vertex_ids)
+                assert i < j and len(a & b) == c.dimension
+
+    def test_graph_holds_neighbor_ids_only(self):
+        g = build_dual(freudenthal_unit_cube())
+        assert [f.name for f in fields(g)] == ["adjacency"]
+        assert g.node_count == len(g.adjacency) == 6
+        for i, nbrs in enumerate(g.adjacency):
+            assert type(nbrs) is tuple and list(nbrs) == sorted(nbrs)
+            assert all(type(j) is int for j in nbrs)
+            assert g.neighbors(i) is nbrs
 
     def test_overglued_rejected(self):
         verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1), point(-1, -1))
@@ -152,9 +163,9 @@ class TestBuildDual:
             # relabel g2's edges back through the permutation
             back = {new: old for new, old in enumerate(perm)}
             remapped = {
-                tuple(sorted((back[i], back[j]))) for i, j, _ in g2.edges()
+                tuple(sorted((back[i], back[j]))) for i, j in g2.edges()
             }
-            original = {tuple(sorted((i, j))) for i, j, _ in g1.edges()}
+            original = set(g1.edges())
             assert remapped == original
 
 

@@ -60,7 +60,7 @@ def reference_svg(c, coloring, options):
             cx = sum(c.vertices[v][0] for v in s.vertex_ids) / 3
             cy = sum(c.vertices[v][1] for v in s.vertex_ids) / 3
             centroids.append(xy((cx, cy)))
-        for i, j, _f in build_dual(c).edges():
+        for i, j in build_dual(c).edges():
             (x1, y1), (x2, y2) = centroids[i], centroids[j]
             lines.append(
                 f'<line x1="{_ref_fmt(x1)}" y1="{_ref_fmt(y1)}" x2="{_ref_fmt(x2)}" '
