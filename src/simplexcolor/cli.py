@@ -209,8 +209,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnrealizableComplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnrealizableComplexError as exc:  # raised only by `color`'s peel of its input
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_UNREALIZABLE
     except (InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

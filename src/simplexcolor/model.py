@@ -216,82 +216,39 @@ def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
     return list(zip(*columns))
 
 
-def _wedges_overlap(a1, a2, b1, b2) -> bool:
-    """Whether the planar wedges spanned at the origin by the integer
-    vectors a1, a2 and by b1, b2 (each pair independent) have overlapping
-    interiors.
-
-    Turn both wedges counterclockwise, from a1 to a2 and from b1 to b2;
-    each spans less than a half turn.  If their interiors are disjoint, B
-    lies in the turn from a2 round to a1.  If B then starts less than a
-    half turn after a1, the line through b1 separates the wedges, and
-    otherwise the line through a1 does.  So five cross products decide.
-    """
-    (a1x, a1y), (a2x, a2y), (b1x, b1y), (b2x, b2y) = a1, a2, b1, b2
-    if a1x * a2y < a1y * a2x:
-        a1x, a1y, a2x, a2y = a2x, a2y, a1x, a1y
-    if b1x * b2y < b1y * b2x:
-        b1x, b1y, b2x, b2y = b2x, b2y, b1x, b1y
-    s11 = a1x * b1y - a1y * b1x  # the side of b1 from the line through a1
-    if s11 <= 0 and a1x * b2y - a1y * b2x <= 0:
-        return False  # the line through a1 separates
-    return not (s11 >= 0 and a2x * b1y - a2y * b1x >= 0)  # through b1
-
-
-def _along_ridge(ridge, others):
-    """A simplex's two vertices outside the ridge it shares with another
-    simplex (d - 1 = 1 or 2 vertices, in id order), as planar vectors seen
-    along the ridge: minus its first vertex o, and in 3D projected along its
-    edge e onto a coordinate plane that e crosses.  The vertices are the
-    simplex's rows over its one weight, whose last entry is ignored.  The
-    projection scales every orientation det(e, u, w) by the same factor
-    e_k, and from one simplex's weight to the other's e changes by a
-    positive factor only."""
-    o = ridge[0]
-    if len(o) == 3:
-        return [(p[0] - o[0], p[1] - o[1]) for p in others]
-    e = [x - y for x, y in zip(ridge[1], o)]
-    k = 2 if e[2] else 1 if e[1] else 0
-    i, j = (k + 1) % 3, (k + 2) % 3
-    return [(e[k] * (p[i] - o[i]) - (p[k] - o[k]) * e[i],
-             e[k] * (p[j] - o[j]) - (p[k] - o[k]) * e[j]) for p in others]
-
-
-def _interiors_overlap(ids_a, a, ids_b, b, d: int) -> bool:
+def _interiors_overlap(a, b, d: int) -> bool:
     """Exact overlap test of two non-degenerate simplices, each given as
-    homogeneous integer rows (p·q, q) over one weight q of its own.
+    (vertex ids, homogeneous integer rows (p·q, q) over one weight q of its
+    own, a slot per facet for its plane, filled on first use).
 
-    A hyperplane that separates the pair contains every shared vertex.  So
-    glued pairs (d shared ids) overlap exactly when the two opposite
-    vertices lie strictly on the same side of the shared facet, and for
-    d <= 3 pairs sharing a ridge (d - 1 ids) are decided by the hyperplanes
-    through the ridge and one other vertex (`_wedges_overlap`).  Every
-    other pair tries the facet hyperplanes of A, then those of B: one
-    separates when the other simplex lies on its closed side away from the
-    opposite vertex.  For d <= 2 these are the only candidates.  Above,
-    `geometry._cone_nonzero` decides: a nonzero y with a·y <= 0 for A's
-    rows and b·y >= 0 for B's is a separating hyperplane (the weights are
+    A hyperplane that separates the pair contains every shared vertex, so
+    of the facet hyperplanes only those through all s shared vertices can:
+    the facet opposite each vertex of A outside B, then each of B outside
+    A.  One separates when the other simplex lies on its closed side away
+    from the opposite vertex.  If none does and max(s, 1) >= d - 1, the
+    pair overlaps: seen along the flat of the shared vertices it is two
+    cones in at most 2 dimensions, or for s = 0 two polygons (d <= 2), and
+    for those the facet hyperplanes are complete.  Otherwise
+    `geometry._cone_nonzero` decides: a nonzero y with a·y <= 0 for A's rows
+    and b·y >= 0 for B's is a separating hyperplane (the weights are
     positive, so its normal is not zero), and convex simplices have
     disjoint interiors iff one exists (touching allowed).
     """
-    shared_a, others_a, shared_b, others_b = [], [], [], []
-    for v, row in zip(ids_a, a):
-        (shared_a if v in ids_b else others_a).append(row)
-    if shared_a and (len(shared_a) == d or len(shared_a) == d - 1 and d <= 3):
-        for v, row in zip(ids_b, b):
-            (shared_b if v in ids_a else others_b).append(row)
-        if len(shared_a) == d:
-            return (homogeneous_orientation(shared_a + others_a)
-                    == homogeneous_orientation(shared_b + others_b))
-        return _wedges_overlap(*_along_ridge(shared_a, others_a), *_along_ridge(shared_b, others_b))
-    for rows, other in ((a, b), (b, a)):
-        for k in range(d + 1):
-            h = facet_normal(rows[:k] + rows[k + 1:])
-            if sum(map(mul, h, rows[k])) > 0:
-                h = [-x for x in h]
+    for (ids, rows, planes), (other_ids, other, _) in ((a, b), (b, a)):
+        for k, v in enumerate(ids):
+            if v in other_ids:
+                continue
+            h = planes[k]
+            if h is None:
+                h = facet_normal(rows[:k] + rows[k + 1:])
+                if sum(map(mul, h, rows[k])) > 0:
+                    h = [-x for x in h]
+                planes[k] = h
             if all(sum(map(mul, h, row)) >= 0 for row in other):
                 return False
-    return d <= 2 or _cone_nonzero(a + [[-x for x in row] for row in b], d + 1) is None
+    if max(len(set(a[0]).intersection(b[0])), 1) >= d - 1:
+        return True
+    return _cone_nonzero(a[1] + [[-x for x in row] for row in b[1]], d + 1) is None
 
 
 def _box_cells(boxes, d: int):
@@ -327,7 +284,8 @@ def _overlapping_pairs(c: Complex, live: list[int]):
     reach the per-axis maximum of their lower corners, and the pair is
     tested only in the cell holding that point.  Narrow phase: each simplex
     gets its rows once, the cached homogeneous rows of its vertices over
-    the LCM of their weights, for `_interiors_overlap`.
+    the LCM of their weights, and a slot per facet plane, for
+    `_interiors_overlap`.
     """
     d = c.dimension
     ranks = _axis_ranks(c)
@@ -341,10 +299,11 @@ def _overlapping_pairs(c: Complex, live: list[int]):
     rows, simplices = c.homogeneous, c.simplices
     scaled = {}
     for i in live:
-        corners = [rows[v] for v in simplices[i].vertex_ids]
+        ids = simplices[i].vertex_ids
+        corners = [rows[v] for v in ids]
         q = lcm(*(row[d] for row in corners))
-        scaled[i] = [row if row[d] == q else tuple(x * (q // row[d]) for x in row)
-                     for row in corners]
+        scaled[i] = (ids, [row if row[d] == q else tuple(x * (q // row[d]) for x in row)
+                           for row in corners], [None] * (d + 1))
     found = []
     for cell, members in _box_cells(boxes, d).items():
         for m, (a, lo_i, hi_i, i, home_i) in enumerate(members):
@@ -357,8 +316,7 @@ def _overlapping_pairs(c: Complex, live: list[int]):
                     continue
                 if tuple(map(max, home_i, home_j)) != cell:
                     continue  # this pair is tested in another cell
-                if _interiors_overlap(simplices[i].vertex_ids, scaled[i],
-                                      simplices[j].vertex_ids, scaled[j], d):
+                if _interiors_overlap(scaled[i], scaled[j], d):
                     found.append((a, b))
     found.sort()
     for a, b in found:
@@ -374,13 +332,12 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
     geometric-strict: additionally pairwise interior-disjointness, in every
     dimension, reported pair by pair in the order of the simplices'
     bounding boxes.  Boxes are compared in a grid over axes 1..d-1 with an
-    x-sweep in each cell.  Pairs sharing d ids are decided by the sides of
-    the shared facet, and in d <= 3 pairs sharing d - 1 ids by the
-    hyperplanes through the shared ridge and one other vertex.  Every other
-    pair tries the facet hyperplanes of both simplices as separating
-    witnesses; if none separates, the pair overlaps in d <= 2, and in
-    higher d the cone kernel `geometry._cone_nonzero` looks for any
-    separating hyperplane.  All of it runs in exact integer arithmetic.
+    x-sweep in each cell.  A pair sharing s vertex ids tries as separating
+    witnesses the facet hyperplanes of both simplices that contain all s
+    shared vertices.  If none separates, the pair overlaps when
+    max(s, 1) >= d - 1, and otherwise the cone kernel
+    `geometry._cone_nonzero` looks for any separating hyperplane.  All of
+    it runs in exact integer arithmetic.
     """
     if level not in (COMBINATORIAL, GEOMETRIC_STRICT):
         raise InputError(f"unknown validation level {level!r}")

@@ -107,11 +107,17 @@ class TestColorVerify:
         assert "2 colors" in capsys.readouterr().out
 
     def test_boundary_abstract_exit_3(self, tmp_path, capsys):
+        # The stall message names the input file under both peel methods.
         path = str(tmp_path / "b.json")
         run("generate", "--kind", "boundary-abstract", "--dim", "2", "-o", path)
-        col_path = str(tmp_path / "b.colors.json")
-        assert run("color", path, "-o", col_path) == 3
-        assert "4 simplices" in capsys.readouterr().err
+        capsys.readouterr()
+        col_path = tmp_path / "b.colors.json"
+        for method in ("combinatorial", "geometric"):
+            assert run("color", path, "--method", method, "-o", str(col_path)) == 3, method
+            assert capsys.readouterr().err == (
+                f"error: {path}: no simplex with an exposed facet in residual complex of 4 simplices\n"
+            ), method
+            assert not col_path.exists(), method
 
     def test_verify_bad_coloring_exit_4(self, fan_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"

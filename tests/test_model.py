@@ -774,10 +774,21 @@ def test_shared_edge_with_coplanar_apexes():
     ])
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_strict_validation_of_a_duplicate_simplex(d):
-    # Simplices 0 and 2 are one simplex twice: all d + 1 ids shared, so
-    # neither the glued-pair nor the shared-ridge test applies.
+@pytest.fixture
+def cone_calls(monkeypatch):
+    """The size m of every `_cone_nonzero` call that strict validation makes."""
+    calls = []
+    cone = model_module._cone_nonzero
+    monkeypatch.setattr(model_module, "_cone_nonzero",
+                        lambda zs, m: calls.append(m) or cone(zs, m))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_strict_validation_of_a_duplicate_simplex(d, cone_calls):
+    # Simplices 0 and 2 are one simplex twice: all d + 1 ids shared, so no
+    # facet plane leaves out a vertex outside the other simplex, and the
+    # pair overlaps with no cone call.
     verts = [(0,) * d] + [tuple(int(k == axis) for k in range(d)) for axis in range(d)]
     verts.append((1,) * d if d > 1 else (2,))
     first = tuple(range(d + 1))
@@ -789,6 +800,7 @@ def test_strict_validation_of_a_duplicate_simplex(d):
         Issue("overglued-facet", f"facet {facet} shared by 3 simplices", (0, 1, 2)),
         Issue("interior-overlap", "simplices 0 and 2 have overlapping interiors", (0, 2)),
     ))
+    assert cone_calls == []
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -866,17 +878,16 @@ CASES_BY_DIMENSION = {1: 300, 2: 300, 3: 300, 4: 200}
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("rational", [False, True])
-def test_strict_overlap_matches_brute_force_oracle_in_every_dimension(d, rational, monkeypatch):
+def test_strict_overlap_matches_brute_force_oracle_in_every_dimension(d, rational, cone_calls):
     """Random simplex pairs sharing 0..d vertex ids: the strict report flags
     exactly the pairs the oracle does.  Rational coordinates sit within
     2/(10^9+7) of small integers, so pairs that touch at the integer points
     are pushed into tiny overlaps or tiny gaps.  Only d >= 3 reaches the
-    cone kernel; for d <= 2 the facet hyperplanes decide alone."""
+    cone kernel, and only for pairs sharing s vertex ids with
+    max(s, 1) < d - 1; for the others the facet hyperplanes through the
+    shared vertices decide alone."""
     rng = random.Random(700 + 10 * d + rational)
-    cone_calls = []
-    cone = model_module._cone_nonzero
-    monkeypatch.setattr(model_module, "_cone_nonzero",
-                        lambda zs, m: cone_calls.append(m) or cone(zs, m))
+    cone_shared = []  # the shared count of the pair behind each cone call
 
     def coord():
         x = Fraction(rng.randint(-3, 3))
@@ -894,7 +905,9 @@ def test_strict_overlap_matches_brute_force_oracle_in_every_dimension(d, rationa
             continue
         c = Complex(d, tuple(point(*v) for v in verts), (Simplex(tuple(ids_a)), Simplex(tuple(ids_b))))
         expected = brute_force_interiors_overlap(pts_a, pts_b, d)
+        calls_before = len(cone_calls)
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
+        cone_shared += [shared] * (len(cone_calls) - calls_before)
         by_shared[shared][expected] += 1
     for k, (disjoint, overlapping) in by_shared.items():
         assert disjoint >= 3 and overlapping >= 3, (k, by_shared)
@@ -902,6 +915,13 @@ def test_strict_overlap_matches_brute_force_oracle_in_every_dimension(d, rationa
         assert not cone_calls
     else:
         assert len(cone_calls) >= 10 and set(cone_calls) == {d + 1}, len(cone_calls)
+    assert all(max(s, 1) < d - 1 for s in cone_shared), sorted(set(cone_shared))
+
+
+@pytest.mark.parametrize("kind,size", [("fan", 30), ("freudenthal", 2)])
+def test_valid_4d_instances_need_no_cone_call(kind, size, cone_calls):
+    assert validate(generate(GeneratorSpec(kind, 4, size)), GEOMETRIC_STRICT).ok
+    assert cone_calls == []
 
 
 def sweep_order(c):
