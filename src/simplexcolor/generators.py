@@ -351,6 +351,22 @@ class _Triangulation:
         return True
 
 
+def _hilbert_index(p) -> int:
+    """Position of a grid point's top 10 bits per coordinate along a Hilbert
+    curve: inserting in this order keeps each point-location walk short."""
+    x, y = p[0] >> 10, p[1] >> 10
+    d, s = 0, 1 << 9
+    while s:
+        rx, ry = x & s > 0, y & s > 0
+        d += s * s * ((3 * rx) ^ ry)
+        if not ry:
+            if rx:
+                x, y = 1023 - x, 1023 - y
+            x, y = y, x
+        s >>= 1
+    return d
+
+
 def _delaunay2d(n: int, seed: int) -> Complex:
     rng = random.Random(seed)
     raw: list[tuple[int, int]] = []
@@ -367,12 +383,17 @@ def _delaunay2d(n: int, seed: int) -> Complex:
     raw.sort()
 
     tri = _Triangulation(raw)
-    for i in range(len(raw)):
+    for i in sorted(range(len(raw)), key=lambda i: _hilbert_index(raw[i])):
         tri.insert(3 + i)
 
-    real = [
-        ids for ids in tri.tris.values() if min(ids) >= 3
-    ]
+    # Each triangle starts at its largest id, the tuple that inserting in
+    # id order would have left: the newest point is the first of each
+    # triangle it makes.
+    real = []
+    for ids in tri.tris.values():
+        if min(ids) >= 3:
+            k = ids.index(max(ids))
+            real.append(ids[k:] + ids[:k])
     if not real:
         raise InputError("degenerate point set: no triangle survives")
     used = sorted({v for ids in real for v in ids})

@@ -10,17 +10,18 @@ bit-exact (integers, and "p/q" strings for the rest), so load(save(c)) == c.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import combinations, product
 from math import lcm, prod
 from operator import ge, lt, mul
 from typing import TYPE_CHECKING
 
 from .errors import InputError, shorten
-from .geometry import (Point, _cone_nonzero, facet_normal, homogeneous_orientation,
+from .geometry import (Point, _cone_nonzero, _nullspace, facet_normal, homogeneous_orientation,
                        homogeneous_row, rational)
 
 if TYPE_CHECKING:
@@ -31,6 +32,12 @@ OFF_FORMAT = "off"
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC_STRICT = "geometric-strict"
+
+# A ridge, a (d-2)-face, in more than HUB live simplices is heavy: strict
+# validation sorts its star by angle instead of pairing it box by box.  The
+# sweep already wins on fans of 8 simplices; 16 keeps ordinary meshes, whose
+# vertices lie in at most about a dozen triangles, on the box path.
+HUB = 16
 
 
 def _is_int(x) -> bool:
@@ -204,16 +211,15 @@ def facet_multiplicity(c: Complex) -> dict[Facet, int]:
     return {Facet._sliced(f): len(own) for f, own in c.facet_owners.items()}
 
 
-def _axis_ranks(c: Complex) -> list[tuple[int, ...]]:
-    """Each vertex's coordinates replaced by their rank among the distinct
-    values on that axis.  The map is order-preserving per axis, so box
-    comparisons on ranks decide exactly as they would on the rationals."""
+def _axis_ranks(c: Complex) -> list[list[int]]:
+    """Per axis, each vertex's coordinate replaced by its rank among the
+    distinct values on that axis.  The map is order-preserving per axis, so
+    box comparisons on ranks decide exactly as they would on the rationals."""
     columns = []
-    for k in range(c.dimension):
-        values = [p.coords[k] for p in c.vertices]
+    for values in zip(*(p.coords for p in c.vertices)):
         rank = {v: r for r, v in enumerate(sorted(set(values)))}
-        columns.append([rank[v] for v in values])
-    return list(zip(*columns))
+        columns.append(list(map(rank.__getitem__, values)))
+    return columns
 
 
 def _interiors_overlap(a, b, d: int) -> bool:
@@ -257,58 +263,180 @@ def _box_cells(boxes, d: int):
     interiors reach into it, by position, where home is the cell of lo.  A
     cell is twice the median box extent wide on each axis.  While that would
     store more than 2^d entries per box (a few huge boxes among small ones),
-    the cells double on every axis.  For d = 1 the grid is one cell."""
+    the cells double on every axis, and a fill that runs past that many
+    starts over.  For d = 1 the grid is one cell."""
     widths = [2 * sorted(hi[k] - lo[k] for lo, hi, _ in boxes)[len(boxes) // 2]
               for k in range(1, d)]
-
-    def spans(lo, hi):
-        return [range(lo[k] // w, (hi[k] - 1) // w + 1) for k, w in zip(range(1, d), widths)]
-
-    while sum(prod(map(len, spans(lo, hi))) for lo, hi, _ in boxes) > 2 ** d * len(boxes):
+    while True:
+        cells: dict[tuple[int, ...], list] = {}
+        room = 2 ** d * len(boxes)
+        for pos, (lo, hi, i) in enumerate(boxes):
+            ranges = [range(lo[k] // w, (hi[k] - 1) // w + 1) for k, w in zip(range(1, d), widths)]
+            room -= prod(map(len, ranges))
+            if room < 0:
+                break
+            entry = (pos, lo, hi, i, tuple(r.start for r in ranges))
+            for cell in product(*ranges):
+                cells.setdefault(cell, []).append(entry)
+        else:
+            return cells
         widths = [2 * w for w in widths]
-    cells: dict[tuple[int, ...], list] = {}
-    for pos, (lo, hi, i) in enumerate(boxes):
-        ranges = spans(lo, hi)
-        entry = (pos, lo, hi, i, tuple(r.start for r in ranges))
-        for cell in product(*ranges):
-            cells.setdefault(cell, []).append(entry)
-    return cells
+
+
+def _hub_stars(live: list[int], ids: list[tuple[int, ...]], columns) -> dict[tuple[int, ...], list[int]]:
+    """Each heavy ridge, a (d-2)-face in more than HUB live simplices, as
+    its vertex ids -> those simplices, increasing, given the live simplices'
+    vertex ids also column by column.  Ridges are counted only when some
+    vertex lies in more than HUB live simplices; for d = 2 the ridges are
+    the vertices (1-tuples), and for d = 1 there are none."""
+    d = len(columns) - 1
+    if d < 2:
+        return {}
+    counts = Counter()
+    for column in columns:
+        counts.update(column)
+    if max(counts.values()) <= HUB:
+        return {}
+    counts = Counter()
+    for pick in combinations(columns, d - 1):
+        counts.update(zip(*pick))
+    heavy = {r for r, n in counts.items() if n > HUB}
+    if not heavy:
+        return {}
+    stars: dict[tuple[int, ...], list[int]] = {}
+    for i, s in zip(live, ids):
+        for r in combinations(s, d - 1):
+            if r in heavy:
+                stars.setdefault(r, []).append(i)
+    return stars
+
+
+def _by_first_ray(u, v) -> int:
+    """Compare two wedges (first ray, last ray, ...) by the angle of their
+    first rays in [0, 2π) from the positive x-axis, exactly: a half-plane
+    split, then a cross product."""
+    (ux, uy), (vx, vy) = u[0], v[0]
+    lower_u, lower_v = uy < 0 or (uy == 0 and ux < 0), vy < 0 or (vy == 0 and vx < 0)
+    if lower_u != lower_v:
+        return lower_u - lower_v
+    cross = ux * vy - uy * vx
+    return (cross < 0) - (cross > 0)
+
+
+def _star_overlaps(c: Complex, ridge: tuple[int, ...], star: list[int]):
+    """The pairs (i, j), i < j, of a ridge's star with overlapping interiors.
+
+    Two simplices through a ridge R overlap exactly when their wedges at R
+    do.  The two vectors `geometry._nullspace` gives for R's offsets map
+    R's flat to a point of the plane, and each simplex to the cone over
+    its two vertices off R, of angle below π.  The wedges, turned
+    counterclockwise, are sorted by their first ray in exact angular order;
+    from each wedge a cyclic scan reports every later one whose first ray
+    lies in the half-open [first, last) of the wedge and stops at the
+    first that does not.  A pair whose first rays coincide can be reported
+    from both sides.
+    """
+    d, rows, simplices = c.dimension, c.homogeneous, c.simplices
+    base, q = rows[ridge[0]][:d], rows[ridge[0]][d]
+
+    def offset(row):  # (p - base) scaled by q * row's q
+        return [x * q - b * row[d] for x, b in zip(row, base)]
+
+    plane = _nullspace([offset(rows[r]) for r in ridge[1:]], d)
+    projected = {}
+    wedges = []
+    for i in star:
+        rays = []
+        for v in simplices[i].vertex_ids:
+            if v not in ridge:
+                if v not in projected:
+                    w = offset(rows[v])
+                    projected[v] = (sum(map(mul, plane[0], w)), sum(map(mul, plane[1], w)))
+                rays.append(projected[v])
+        (ax, ay), (bx, by) = rays
+        wedges.append((*rays, i) if ax * by - ay * bx > 0 else (rays[1], rays[0], i))
+    wedges.sort(key=cmp_to_key(_by_first_ray))
+    k = len(wedges)
+    for p, ((sx, sy), (ex, ey), i) in enumerate(wedges):
+        for t in range(p + 1, p + k):
+            (x, y), _, j = wedges[t % k]
+            if sx * y - sy * x < 0 or x * ey - y * ex <= 0:
+                break
+            yield (i, j) if i < j else (j, i)
+
+
+def _hub_skipper(members, hubs):
+    """For a cell holding hub-star members: a function m -> the positions
+    t > m of members sharing no heavy ridge with member m, increasing.  A
+    run of consecutive members with member m's ridges is passed in one
+    step, so a star's own pairs cost nothing here."""
+    keys = [hubs.get(entry[3]) for entry in members]
+    ends = list(range(1, len(members) + 1))  # one past each run of equal keys
+    for t in range(len(members) - 2, -1, -1):
+        if keys[t] is not None and keys[t] == keys[t + 1]:
+            ends[t] = ends[t + 1]
+
+    def later(m):
+        key, t = keys[m], m + 1
+        while t < len(keys):
+            other = keys[t]
+            if key and other and not key.isdisjoint(other):
+                t = ends[t] if other == key else t + 1
+            else:
+                yield t
+                t += 1
+    return later
 
 
 def _overlapping_pairs(c: Complex, live: list[int]):
     """Pairs (i, j), i < j, of live simplices with overlapping interiors,
     ordered by the positions of their boxes in the lower-corner order.
 
-    Broad phase: bounding boxes in axis ranks, bucketed by `_box_cells`,
-    with an x-sweep inside each cell.  Two boxes whose interiors meet both
-    reach the per-axis maximum of their lower corners, and the pair is
-    tested only in the cell holding that point.  Narrow phase: each simplex
-    gets its rows once, the cached homogeneous rows of its vertices over
-    the LCM of their weights, and a slot per facet plane, for
-    `_interiors_overlap`.
+    Pairs that share a heavy ridge (`_hub_stars`) come from one angular
+    sweep per star (`_star_overlaps`), so a hub star costs O(k log k) plus
+    its overlaps instead of O(k^2).  Every other pair goes through the
+    broad phase: bounding boxes in axis ranks, bucketed by `_box_cells`,
+    with an x-sweep inside each cell that steps over a member's fellow
+    star members in runs.  Two boxes whose interiors meet both reach the
+    per-axis maximum of their lower corners, and the pair is tested only
+    in the cell holding that point.  Narrow phase: each simplex gets its
+    rows once, the cached homogeneous rows of its vertices over the LCM of
+    their weights, and a slot per facet plane, for `_interiors_overlap`.
     """
-    d = c.dimension
-    ranks = _axis_ranks(c)
-    boxes = []
-    for i in live:
-        corners = [ranks[v] for v in c.simplices[i].vertex_ids]
-        boxes.append((tuple(map(min, *corners)), tuple(map(max, *corners)), i))
-    if len(boxes) < 2:
+    if len(live) < 2:
         return
-    boxes.sort(key=lambda entry: entry[0])
-    rows, simplices = c.homogeneous, c.simplices
+    d = c.dimension
+    ids = [c.simplices[i].vertex_ids for i in live]
+    columns = list(zip(*ids))  # column k: vertex k of every live simplex
+    lows, highs = [], []
+    for rank in _axis_ranks(c):
+        at = [list(map(rank.__getitem__, column)) for column in columns]
+        lows.append(map(min, *at))
+        highs.append(map(max, *at))
+    boxes = sorted(zip(zip(*lows), zip(*highs), live), key=lambda entry: entry[0])
+    rows = c.homogeneous
     scaled = {}
-    for i in live:
-        ids = simplices[i].vertex_ids
-        corners = [rows[v] for v in ids]
+    for i, s in zip(live, ids):
+        corners = [rows[v] for v in s]
         q = lcm(*(row[d] for row in corners))
-        scaled[i] = (ids, [row if row[d] == q else tuple(x * (q // row[d]) for x in row)
-                           for row in corners], [None] * (d + 1))
+        scaled[i] = (s, [row if row[d] == q else tuple(x * (q // row[d]) for x in row)
+                         for row in corners], [None] * (d + 1))
     found = []
+    hubs: dict[int, frozenset] = {}  # a hub-star simplex -> its heavy ridges
+    stars = _hub_stars(live, ids, columns)
+    if stars:
+        position = {i: pos for pos, (_lo, _hi, i) in enumerate(boxes)}
+        swept = set()  # a pair through two heavy ridges is found by both sweeps
+        for ridge, star in stars.items():
+            swept.update(_star_overlaps(c, ridge, star))
+            for i in star:
+                hubs[i] = hubs.get(i, frozenset()) | {ridge}
+        found = [tuple(sorted((position[i], position[j]))) for i, j in swept]
     for cell, members in _box_cells(boxes, d).items():
+        later = _hub_skipper(members, hubs) if hubs and any(e[3] in hubs for e in members) else None
         for m, (a, lo_i, hi_i, i, home_i) in enumerate(members):
             x_end = hi_i[0]
-            for t in range(m + 1, len(members)):
+            for t in range(m + 1, len(members)) if later is None else later(m):
                 b, lo_j, hi_j, j, home_j = members[t]
                 if lo_j[0] >= x_end:
                     break
@@ -331,13 +459,16 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
     duplicate simplices, distinct coordinates for distinct vertex ids.
     geometric-strict: additionally pairwise interior-disjointness, in every
     dimension, reported pair by pair in the order of the simplices'
-    bounding boxes.  Boxes are compared in a grid over axes 1..d-1 with an
-    x-sweep in each cell.  A pair sharing s vertex ids tries as separating
-    witnesses the facet hyperplanes of both simplices that contain all s
-    shared vertices.  If none separates, the pair overlaps when
-    max(s, 1) >= d - 1, and otherwise the cone kernel
-    `geometry._cone_nonzero` looks for any separating hyperplane.  All of
-    it runs in exact integer arithmetic.
+    bounding boxes.  The star of a heavy ridge, a (d-2)-face in more than
+    HUB live simplices, is sorted once in exact angular order around it,
+    and one circular sweep reports its overlapping pairs, so a hub fan of k
+    simplices costs O(k log k) plus its overlaps.  Every other pair of
+    boxes is compared in a grid over axes 1..d-1 with an x-sweep in each
+    cell.  A pair sharing s vertex ids tries as separating witnesses the
+    facet hyperplanes of both simplices that contain all s shared
+    vertices.  If none separates, the pair overlaps when max(s, 1) >= d - 1,
+    and otherwise the cone kernel `geometry._cone_nonzero` looks for any
+    separating hyperplane.  All of it runs in exact integer arithmetic.
     """
     if level not in (COMBINATORIAL, GEOMETRIC_STRICT):
         raise InputError(f"unknown validation level {level!r}")

@@ -5,8 +5,8 @@ planar, 3D and 4D instances and the geometric peel at scale, each
 printing a PASS line with the measured numbers (run with `pytest -s
 tests/test_acceptance.py` to see them).  Tolerances are exact wherever
 rational arithmetic decides, and the only timing budget is 10 seconds per
-big instance, for the color pipeline, for the geometric peel and for 3D
-and 4D strict validation.
+big instance, for the color pipeline, for the geometric peel and for
+strict validation.
 """
 
 import time
@@ -254,14 +254,16 @@ def test_geometric_peel_at_scale(corpus):
 
 
 def test_strict_validation_of_large_planar_instances(corpus):
-    """The corpus's larger planar instances pass geometric-strict
-    validation: no degenerate simplex and no interior overlap."""
+    """The corpus's larger planar instances, the 10^4-triangle closed fan
+    around one hub vertex included, pass geometric-strict validation within
+    the time budget: no degenerate simplex and no interior overlap."""
     labels = (
         "tri-tiling-d2-s71-seed0",
         "freudenthal-d2-s71-seed0",
         "path-d2-s10000-seed0",
         "delaunay2d-d2-s1000-seed48",
         "closed-fan-d2-s1000-seed0",
+        "closed-fan-d2-s10000-seed0",
     )
     by_label = {label: c for label, _kind, _d, c in corpus}
     times = []
@@ -269,19 +271,22 @@ def test_strict_validation_of_large_planar_instances(corpus):
         c = by_label[label]
         t0 = time.perf_counter()
         report = validate(c, GEOMETRIC_STRICT)
-        times.append(f"{label} ({len(c.simplices)}) {time.perf_counter() - t0:.2f}s")
+        elapsed = time.perf_counter() - t0
         assert report.ok, (label, report.summary())
+        assert elapsed < TIME_BUDGET, (label, elapsed)
+        times.append(f"{label} ({len(c.simplices)}) {elapsed:.2f}s")
     print("PASS strict validation: " + ", ".join(times))
 
 
 def test_strict_validation_of_large_3d_instances(corpus):
-    """Freudenthal d3 m12 (10368 simplices) and the 1000-tetrahedron fan,
-    all of whose tetrahedra share the hub edge, pass geometric-strict
+    """Freudenthal d3 m12 (10368 simplices) and the fans of 1000 and 10^4
+    tetrahedra, all of which share the hub edge, pass geometric-strict
     validation within the time budget."""
     by_label = {label: c for label, _kind, _d, c in corpus}
     cases = [
         ("freudenthal-d3-s12-seed0", by_label["freudenthal-d3-s12-seed0"]),
         ("fan-d3-s1000-seed0", generate(GeneratorSpec(FAN, 3, 1000))),
+        ("fan-d3-s10000-seed0", generate(GeneratorSpec(FAN, 3, 10000))),
     ]
     times = []
     for label, c in cases:
@@ -295,15 +300,17 @@ def test_strict_validation_of_large_3d_instances(corpus):
 
 
 def test_strict_validation_in_4d(corpus):
-    """Every d = 4 corpus instance passes geometric-strict validation within
-    the time budget: the overlap check runs in every dimension, so criteria
-    3 and 4 do not take these instances on trust."""
+    """Every d = 4 corpus instance, and the fan of 10^4 4-simplices around
+    one hub triangle, passes geometric-strict validation within the time
+    budget: the overlap check runs in every dimension, so criteria 3 and 4
+    do not take these instances on trust."""
     cases = [(label, c) for label, _kind, d, c in corpus if d == 4]
     assert {label for label, _c in cases} == {
         "fan-d4-s5-seed0", "fan-d4-s30-seed0", "freudenthal-d4-s1-seed0",
         "freudenthal-d4-s2-seed0", "freudenthal-d4-s4-seed0", "path-d4-s5-seed0",
         "path-d4-s10000-seed0",
     }
+    cases.append(("fan-d4-s10000-seed0", generate(GeneratorSpec(FAN, 4, 10000))))
     times = []
     for label, c in cases:
         t0 = time.perf_counter()

@@ -5,7 +5,7 @@ import time
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import cos, lcm, pi, sin
 from operator import mul
 
 import pytest
@@ -980,3 +980,122 @@ def test_one_huge_simplex_among_small_ones():
     boxes = [((0, 0, 0), (600, 600, 600), 0)] + small
     cells = _box_cells(boxes, 3)
     assert sum(map(len, cells.values())) <= 8 * len(boxes)
+
+
+# ---------------------------------------------------------------------------
+# Hub stars: the angular sweep per heavy ridge against every pair
+
+
+def brute_force_report(c):
+    """The geometric-strict report rebuilt from the combinatorial one plus
+    `_interiors_overlap` over every pair of live simplices, listed in the
+    order of their boxes' lower corners (ties by simplex index)."""
+    d = c.dimension
+    issues = validate(c, COMBINATORIAL).issues
+    degenerate = {issue.where[0] for issue in issues if issue.code == "degenerate-simplex"}
+    live = sorted((i for i in range(len(c.simplices)) if i not in degenerate),
+                  key=lambda i: tuple(min(p[k] for p in c.simplex_points(i)) for k in range(d)))
+    entries = {}
+    for i in live:
+        pts = [p.coords for p in c.simplex_points(i)]
+        q = lcm(*(Fraction(x).denominator for p in pts for x in p))
+        entries[i] = (c.simplices[i].vertex_ids,
+                      [tuple(int(x * q) for x in p) + (q,) for p in pts], [None] * (d + 1))
+    for a, i in enumerate(live):
+        for j in live[a + 1:]:
+            if model_module._interiors_overlap(entries[i], entries[j], d):
+                i_, j_ = min(i, j), max(i, j)
+                issues += (Issue("interior-overlap",
+                                 f"simplices {i_} and {j_} have overlapping interiors", (i_, j_)),)
+    return ValidationReport(GEOMETRIC_STRICT, issues)
+
+
+def double_winding_fan(k):
+    """k triangles around the origin whose boundary walk winds twice: for odd
+    k each steps two of k ring directions; for even k the walk visits the
+    even directions, then the odd ones."""
+    ring = generate(GeneratorSpec("closed-fan", 2, k)).vertices[1:]
+    walk = list(range(0, k, 2)) + list(range(1, k, 2)) if k % 2 == 0 else \
+        [(2 * t) % k for t in range(k)]
+    simplices = tuple(Simplex(tuple(sorted((0, 1 + walk[t], 1 + walk[(t + 1) % k]))))
+                      for t in range(k))
+    return Complex(2, (point(0, 0),) + tuple(ring), simplices)
+
+
+def with_moved(c, v, delta):
+    """c with vertex v shifted by delta."""
+    verts = list(c.vertices)
+    verts[v] = point(*(x + y for x, y in zip(verts[v].coords, delta)))
+    return Complex(c.dimension, tuple(verts), c.simplices)
+
+
+def with_ring_vertex_folded(c, v):
+    """A ring fan with ring vertex v moved from (.., y, z) to (.., 0, -z),
+    across the hub: its triangles or tetrahedra fold over their neighbours."""
+    y, z = c.vertices[v].coords[-2:]
+    return with_moved(c, v, (0,) * (c.dimension - 2) + (-y, -2 * z))
+
+
+def adjacent_hubs(k):
+    """Two planar fans of k triangles on integer rings of radius 1000 whose
+    hubs, vertices 0 and 1, are each a ring vertex of the other: their
+    overlapping triangles through the edge (0, 1) share both hubs."""
+    ring_a = [(round(1000 * cos(2 * pi * t / k)), round(1000 * sin(2 * pi * t / k))) for t in range(k)]
+    ring_b = [(1000 + round(1000 * cos(pi + 2 * pi * t / k)), round(1000 * sin(pi + 2 * pi * t / k)))
+              for t in range(k)]
+    assert ring_a[0] == (1000, 0) and ring_b[0] == (0, 0)
+    verts = [(0, 0)] + ring_a + ring_b[1:]
+    id_b = [0] + list(range(k + 1, 2 * k))
+    simplices = [tuple(sorted((0, 1 + t, 1 + (t + 1) % k))) for t in range(k)]
+    simplices += [tuple(sorted((1, id_b[t], id_b[(t + 1) % k]))) for t in range(k)]
+    return Complex(2, tuple(point(*v) for v in verts), tuple(map(Simplex, simplices)))
+
+
+def hub_cases():
+    hub = model_module.HUB
+    cases = {f"double-winding-{k}": double_winding_fan(k) for k in (hub + 5, hub + 6)}
+    for d in (3, 4):
+        fan = generate(GeneratorSpec("fan", d, 40))
+        ring = d - 1  # the first ring vertex: the hinge is vertices 0..d-2
+        cases[f"fan-d{d}-moved-ring"] = with_ring_vertex_folded(fan, ring + 7)
+        # The hinge's first vertex leaves the ring's plane outside the ring.
+        cases[f"fan-d{d}-moved-hinge"] = with_moved(fan, 0, (0,) * (d - 1) + (5,))
+        cases[f"fan-d{d}-duplicates"] = Complex(d, fan.vertices, fan.simplices + fan.simplices[5:8] * 2)
+    closed = generate(GeneratorSpec("closed-fan", 2, 40))
+    cases["closed-fan-duplicates"] = Complex(2, closed.vertices,
+                                             closed.simplices + (closed.simplices[0],) * 3)
+    cases["adjacent-hubs"] = adjacent_hubs(2 * hub)
+    for k in (hub, hub + 1):
+        for kind, d in (("closed-fan", 2), ("fan", 3)):
+            c = generate(GeneratorSpec(kind, d, k))
+            cases[f"{kind}-d{d}-{k}-moved"] = with_ring_vertex_folded(c, d + 1)
+    return cases
+
+
+HUB_CASES = hub_cases()
+
+
+@pytest.mark.parametrize("label", HUB_CASES)
+def test_hub_star_sweep_matches_every_pair(label):
+    """The full strict report (codes, messages, where and order) equals a
+    report built from `_interiors_overlap` over every pair of live
+    simplices.  Every case holds overlaps inside a heavy ridge's star; in
+    the adjacent hubs some overlapping pairs pass through both hubs, so
+    both stars' sweeps report them."""
+    c = HUB_CASES[label]
+    report = validate(c, GEOMETRIC_STRICT)
+    assert report == brute_force_report(c), label
+    assert overlap_pairs(report), label
+
+
+def test_hub_threshold():
+    """A ridge in HUB live simplices is left to the box test; one in HUB + 1
+    is heavy, in 2D (a vertex) and in 3D (an edge)."""
+    hub = model_module.HUB
+    for kind, d in (("closed-fan", 2), ("fan", 3)):
+        for k in (hub, hub + 1):
+            c = generate(GeneratorSpec(kind, d, k))
+            live = list(range(k))
+            ids = [s.vertex_ids for s in c.simplices]
+            stars = model_module._hub_stars(live, ids, list(zip(*ids)))
+            assert stars == ({} if k == hub else {tuple(range(d - 1)): live}), (kind, k)
