@@ -15,7 +15,7 @@ from .coloring import color, exact_chromatic, peel, save_certificate, verify_col
 from .dual import analyze_max_clique_configuration, build_dual, find_all_cliques, find_clique, stats
 from .errors import ColoringError, InputError, SimplexColorError, UnrealizableComplexError
 from .generators import KINDS, GeneratorSpec, generate
-from .model import _naming, load, load_coloring, save, save_coloring
+from .model import load, load_coloring, save, save_coloring
 from .render import DEFAULT_PALETTE, RenderOptions, render_svg
 
 EXIT_OK = 0
@@ -53,8 +53,7 @@ def cmd_color(args) -> int:
 def cmd_verify(args) -> int:
     c = load(args.input, format=_fmt_detect(args.input))
     col = load_coloring(args.coloring)
-    with _naming(args.coloring, ColoringError):
-        ok, violations = verify_coloring(c, col)
+    ok, violations = verify_coloring(c, col)
     if ok:
         print("coloring is valid")
         return EXIT_OK
@@ -137,8 +136,7 @@ def cmd_render(args) -> int:
     col = load_coloring(args.coloring) if args.coloring else None
     palette = tuple(args.palette.split(",")) if args.palette else DEFAULT_PALETTE
     options = RenderOptions(args.width, args.height, palette, args.show_dual)
-    with _naming(args.coloring, ColoringError):
-        svg = render_svg(c, col, options)
+    svg = render_svg(c, col, options)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(f"wrote {args.output}")
@@ -204,16 +202,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _named(exc: Exception, args) -> str:
+    """The message of an error a command raised, naming its file once.  An
+    OSError names the file the system refused; a message that starts with
+    a path from the command line (a reader's own) keeps it; any other is
+    about the coloring file for a ColoringError and the input otherwise."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    input_path, coloring, message = vars(args).get("input"), vars(args).get("coloring"), str(exc)
+    if any(p and message.startswith(f"{p}:") for p in (input_path, coloring)):
+        return message
+    path = coloring if isinstance(exc, ColoringError) and coloring else input_path
+    return f"{path}: {message}" if path else message
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnrealizableComplexError as exc:  # raised only by `color`'s peel of its input
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
+    except UnrealizableComplexError as exc:
+        print(f"error: {_named(exc, args)}", file=sys.stderr)
         return EXIT_UNREALIZABLE
-    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, OSError) as exc:
+        print(f"error: {_named(exc, args)}", file=sys.stderr)
         return EXIT_INPUT
     except SimplexColorError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -154,7 +154,7 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int],
         # geometrically consistent (overlapping simplices) the exposure
         # argument breaks down, so the witness is verified before returning.
         for i in work:
-            for f in sorted(c.simplices[i].facet_ids()):
+            for f in combinations(c.simplices[i].vertex_ids, d):
                 if anchor_set <= set(f) and on_hull(f):
                     if sum(j in live for j in c.facet_owners[f]) != 1:
                         raise UnrealizableComplexError(len(live))
@@ -166,10 +166,7 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int],
         for size in range(d - 1, len(anchor), -1):
             candidates = set()
             for i in work:
-                ids = c.simplices[i].vertex_ids
-                if size >= len(ids):
-                    continue
-                others = [u for u in ids if u not in anchor_set]
+                others = [u for u in c.simplices[i].vertex_ids if u not in anchor_set]
                 for extra in combinations(others, size - len(anchor)):
                     candidates.add(tuple(sorted(anchor + extra)))
             for face_ids in sorted(candidates):

@@ -4,26 +4,25 @@ Coordinates are arbitrary-precision rationals: a `Point` stores each
 integral coordinate as a plain `int` and every other one as a
 `fractions.Fraction`.  Every predicate returns an exact answer: there are
 no epsilons and no floats, and results are invariant under uniform
-positive rational scaling of the input coordinates.  The determinant
-kernel behind `det` and `orientation` runs on Python `int`: it scales the
-few points or rows it is given by the LCM of their own denominators (never
-one LCM over a whole vertex table), then takes a closed-form determinant
-up to 4×4 and Bareiss's fraction-free elimination, whose divisions are all
-exact, above that.
+positive rational scaling of the input coordinates.
+
+All predicate arithmetic is on `int`, over homogeneous rows: a point p
+becomes (p·q, q), q > 0 the LCM of p's own denominators, and
+`Complex.homogeneous` keeps these rows once per complex.  Each row keeps
+its own weight, since a positive weight changes no sign a predicate reads.
+Determinants are closed-form up to 4×4 and fraction-free (Bareiss) above.
 
 The hull-membership test never builds a convex hull.  It decides whether
 a hyperplane exists that contains a given face and keeps the whole point
 cloud on one closed side; such a hyperplane exists exactly when the face
-lies on the boundary of the cloud's convex hull.  It runs on
-homogeneous integer rows: a point p becomes (p·q, q), q > 0 the LCM of p's
-own denominators, and `Complex.homogeneous` keeps these rows once per
-complex.  For a face of d points the normal comes from d+1 cofactor
-minors, and one signed dot product per cloud row decides; smaller or
-affinely dependent faces go through fraction-free linear feasibility.
-`supporting_hyperplane` wraps the same kernel for rational points.  That
-feasibility kernel, `_cone_nonzero`, has a second caller: strict
-validation (`model._interiors_overlap`) asks it for a hyperplane that
-separates two simplices' homogeneous rows, in any dimension.
+lies on the boundary of the cloud's convex hull.  For a face of d points
+the normal comes from d+1 cofactor minors, and one signed dot product per
+cloud row decides.  Smaller or affinely dependent faces are projected off
+their own directions (`_quotient`) into fraction-free linear feasibility,
+`_cone_nonzero`, which strict validation (`model._interiors_overlap`) also
+asks for hyperplanes that separate two simplices, in any dimension.
+`orientation`, `side_of`, `extreme_point` and `supporting_hyperplane` are
+thin wrappers that check and take rational `Point`s.
 """
 
 from __future__ import annotations
@@ -121,21 +120,6 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _dot(a, b) -> Fraction:
-    return sum((ai * bi for ai, bi in zip(a, b)), Fraction(0))
-
-
-def clear_denominators(rows) -> tuple[int, list[list[int]]]:
-    """Scale rows of rationals by the LCM of their denominators.
-
-    Returns (scale, int_rows) with int_rows[i][k] == rows[i][k] * scale
-    exactly; scale >= 1, so signs and order are preserved.
-    """
-    rows = list(rows)
-    scale = lcm(*(x.denominator for r in rows for x in r))
-    return scale, [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
-
-
 def _bareiss(m) -> int:
     """Determinant of a square int matrix, given as a sequence of rows and
     left unchanged: in closed form up to 4×4, by Bareiss's fraction-free
@@ -178,15 +162,9 @@ def _bareiss(m) -> int:
     return sign * m[-1][-1]
 
 
-def det(rows: list[Vec]) -> Fraction:
-    """Exact determinant: clear the denominators with one LCM, then run
-    Bareiss elimination over int."""
-    scale, m = clear_denominators(rows)
-    return Fraction(_bareiss(m), scale ** len(m))
-
-
 def orientation(points: list[Point], dim: int) -> int:
-    """Sign of the determinant of the affine configuration of dim+1 points.
+    """Sign of the determinant of the affine configuration of dim+1 points,
+    from their homogeneous rows.
 
     Returns 0 exactly when the points are affinely dependent.
     """
@@ -195,8 +173,7 @@ def orientation(points: list[Point], dim: int) -> int:
     for p in points:
         if p.dim != dim:
             raise InputError(f"point of dimension {p.dim} in orientation of dimension {dim}")
-    base, *rest = clear_denominators(p.coords for p in points)[1]
-    return _sign(_bareiss([[a - b for a, b in zip(p, base)] for p in rest]))
+    return homogeneous_orientation([homogeneous_row(p.coords) for p in points])
 
 
 def homogeneous_orientation(rows) -> int:
@@ -215,22 +192,18 @@ def side_of(h: Hyperplane, p: Point) -> int:
     """Sign of normal . p - offset: +1, 0 (on the plane) or -1."""
     if p.dim != h.dim:
         raise InputError(f"point dimension {p.dim} does not match hyperplane dimension {h.dim}")
-    return _sign(_dot(h.normal, p.coords) - h.offset)
+    return _sign(sum(map(mul, h.normal, p.coords)) - h.offset)
 
 
 def extreme_point(cloud: list[Point]) -> int:
-    """Index of the lexicographically minimal point.
+    """Index of the lexicographically minimal point, the first on ties.
 
     The lexicographic minimum is always a vertex of the convex hull, which
     is all the peeling procedure needs from this selector.
     """
     if not cloud:
         raise InputError("extreme_point of an empty cloud")
-    best = 0
-    for i in range(1, len(cloud)):
-        if cloud[i].coords < cloud[best].coords:
-            best = i
-    return best
+    return min(range(len(cloud)), key=lambda i: cloud[i].coords)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +275,36 @@ def hull_normal(face, cloud):
 def _hull_normal_general(face, cloud, d: int):
     """hull_normal for any face: project the cloud onto the complement of
     the face's directions and look for a nonzero cone direction there."""
-    base, q = face[0][:d], face[0][d]
-
-    def offset(row):  # (p - base) scaled by q * row's q
-        return [x * q - b * row[d] for x, b in zip(row, base)]
-
-    complement = _nullspace([offset(r) for r in face[1:]], d)
+    complement, project = _quotient(face)
     if not complement:
         return None  # the face affinely spans the whole space
-    projected = dict.fromkeys(
-        tuple(_primitive([sum(map(mul, col, w)) for col in complement]))
-        for w in map(offset, cloud)
-    )
+    projected = dict.fromkeys(tuple(_primitive(project(row))) for row in cloud)
     y = _cone_nonzero(list(projected), len(complement))
     if y is None:
         return None
+    base, q = face[0][:d], face[0][d]
     normal = [sum(col[j] * yk for col, yk in zip(complement, y)) for j in range(d)]
     return [x * q for x in normal] + [-sum(map(mul, normal, base))]
+
+
+def _quotient(face):
+    """A basis of the directions that the face's homogeneous rows do not
+    span (`_nullspace` of their offsets from the first row), and the map
+    taking a homogeneous row to its coordinates on that basis: those of
+    (p - base) scaled by base's weight times the row's, both positive."""
+    d = len(face[0]) - 1
+    base, q = face[0][:d], face[0][d]
+
+    def offset(row):
+        return [x * q - b * row[d] for x, b in zip(row, base)]
+
+    basis = _nullspace([offset(r) for r in face[1:]], d)
+
+    def project(row):
+        w = offset(row)
+        return [sum(map(mul, col, w)) for col in basis]
+
+    return basis, project
 
 
 def _nullspace(rows, width: int) -> list[tuple[int, ...]]:

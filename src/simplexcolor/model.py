@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import combinations, product
-from math import lcm, prod
+from math import prod
 from operator import ge, lt, mul
 from typing import TYPE_CHECKING
 
 from .errors import InputError, shorten
-from .geometry import (Point, _cone_nonzero, _nullspace, facet_normal, homogeneous_orientation,
+from .geometry import (Point, _cone_nonzero, _quotient, facet_normal, homogeneous_orientation,
                        homogeneous_row, rational)
 
 if TYPE_CHECKING:
@@ -73,9 +73,6 @@ class Simplex:
         d-subsets in decreasing lexicographic order."""
         ids = self.vertex_ids
         return tuple(combinations(ids, len(ids) - 1))[::-1]
-
-    def facets(self) -> tuple[Facet, ...]:
-        return tuple(map(Facet._sliced, self.facet_ids()))
 
 
 class Facet(Simplex):
@@ -224,8 +221,8 @@ def _axis_ranks(c: Complex) -> list[list[int]]:
 
 def _interiors_overlap(a, b, d: int) -> bool:
     """Exact overlap test of two non-degenerate simplices, each given as
-    (vertex ids, homogeneous integer rows (p·q, q) over one weight q of its
-    own, a slot per facet for its plane, filled on first use).
+    (vertex ids, homogeneous integer rows (p·q, q), each over its own
+    vertex's weight q, a slot per facet for its plane, filled on first use).
 
     A hyperplane that separates the pair contains every shared vertex, so
     of the facet hyperplanes only those through all s shared vertices can:
@@ -297,18 +294,11 @@ def _hub_stars(live: list[int], ids: list[tuple[int, ...]], columns) -> dict[tup
         counts.update(column)
     if max(counts.values()) <= HUB:
         return {}
-    counts = Counter()
-    for pick in combinations(columns, d - 1):
-        counts.update(zip(*pick))
-    heavy = {r for r, n in counts.items() if n > HUB}
-    if not heavy:
-        return {}
     stars: dict[tuple[int, ...], list[int]] = {}
     for i, s in zip(live, ids):
         for r in combinations(s, d - 1):
-            if r in heavy:
-                stars.setdefault(r, []).append(i)
-    return stars
+            stars.setdefault(r, []).append(i)
+    return {r: star for r, star in stars.items() if len(star) > HUB}
 
 
 def _by_first_ray(u, v) -> int:
@@ -327,22 +317,16 @@ def _star_overlaps(c: Complex, ridge: tuple[int, ...], star: list[int]):
     """The pairs (i, j), i < j, of a ridge's star with overlapping interiors.
 
     Two simplices through a ridge R overlap exactly when their wedges at R
-    do.  The two vectors `geometry._nullspace` gives for R's offsets map
-    R's flat to a point of the plane, and each simplex to the cone over
-    its two vertices off R, of angle below π.  The wedges, turned
-    counterclockwise, are sorted by their first ray in exact angular order;
-    from each wedge a cyclic scan reports every later one whose first ray
-    lies in the half-open [first, last) of the wedge and stops at the
-    first that does not.  A pair whose first rays coincide can be reported
-    from both sides.
+    do.  `geometry._quotient` of R's rows maps R's flat to a point of the
+    plane, and each simplex to the cone over its two vertices off R, of
+    angle below π.  The wedges, turned counterclockwise, are sorted by
+    their first ray in exact angular order; from each wedge a cyclic scan
+    reports every later one whose first ray lies in the half-open
+    [first, last) of the wedge and stops at the first that does not.  A
+    pair whose first rays coincide can be reported from both sides.
     """
-    d, rows, simplices = c.dimension, c.homogeneous, c.simplices
-    base, q = rows[ridge[0]][:d], rows[ridge[0]][d]
-
-    def offset(row):  # (p - base) scaled by q * row's q
-        return [x * q - b * row[d] for x, b in zip(row, base)]
-
-    plane = _nullspace([offset(rows[r]) for r in ridge[1:]], d)
+    rows, simplices = c.homogeneous, c.simplices
+    project = _quotient([rows[r] for r in ridge])[1]
     projected = {}
     wedges = []
     for i in star:
@@ -350,8 +334,7 @@ def _star_overlaps(c: Complex, ridge: tuple[int, ...], star: list[int]):
         for v in simplices[i].vertex_ids:
             if v not in ridge:
                 if v not in projected:
-                    w = offset(rows[v])
-                    projected[v] = (sum(map(mul, plane[0], w)), sum(map(mul, plane[1], w)))
+                    projected[v] = project(rows[v])
                 rays.append(projected[v])
         (ax, ay), (bx, by) = rays
         wedges.append((*rays, i) if ax * by - ay * bx > 0 else (rays[1], rays[0], i))
@@ -400,8 +383,9 @@ def _overlapping_pairs(c: Complex, live: list[int]):
     star members in runs.  Two boxes whose interiors meet both reach the
     per-axis maximum of their lower corners, and the pair is tested only
     in the cell holding that point.  Narrow phase: each simplex gets its
-    rows once, the cached homogeneous rows of its vertices over the LCM of
-    their weights, and a slot per facet plane, for `_interiors_overlap`.
+    rows once, the cached homogeneous rows of its vertices as they are,
+    each over its own vertex's weight, and a slot per facet plane, for
+    `_interiors_overlap`.
     """
     if len(live) < 2:
         return
@@ -415,12 +399,7 @@ def _overlapping_pairs(c: Complex, live: list[int]):
         highs.append(map(max, *at))
     boxes = sorted(zip(zip(*lows), zip(*highs), live), key=lambda entry: entry[0])
     rows = c.homogeneous
-    scaled = {}
-    for i, s in zip(live, ids):
-        corners = [rows[v] for v in s]
-        q = lcm(*(row[d] for row in corners))
-        scaled[i] = (s, [row if row[d] == q else tuple(x * (q // row[d]) for x in row)
-                         for row in corners], [None] * (d + 1))
+    narrow = {i: (s, [rows[v] for v in s], [None] * (d + 1)) for i, s in zip(live, ids)}
     found = []
     hubs: dict[int, frozenset] = {}  # a hub-star simplex -> its heavy ridges
     stars = _hub_stars(live, ids, columns)
@@ -444,7 +423,7 @@ def _overlapping_pairs(c: Complex, live: list[int]):
                     continue
                 if tuple(map(max, home_i, home_j)) != cell:
                     continue  # this pair is tested in another cell
-                if _interiors_overlap(scaled[i], scaled[j], d):
+                if _interiors_overlap(narrow[i], narrow[j], d):
                     found.append((a, b))
     found.sort()
     for a, b in found:
@@ -591,12 +570,12 @@ def _read_text(path: str) -> str:
 
 
 @contextmanager
-def _naming(path: str, kind: type[InputError] = InputError):
-    """Prefix the `kind` error raised inside with `path`, unless its message
+def _naming(path: str):
+    """Prefix the InputError raised inside with `path`, unless its message
     already starts with it (the reader's own positioned errors)."""
     try:
         yield
-    except kind as exc:
+    except InputError as exc:
         if str(exc).startswith(f"{path}:"):
             raise
         raise InputError(f"{path}: {exc}") from exc

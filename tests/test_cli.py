@@ -138,7 +138,8 @@ class TestColorVerify:
                         '"simplices": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}')
         out = tmp_path / "o.json"
         assert run("color", str(path), "--method", method, "-o", str(out)) == 2
-        assert capsys.readouterr().err == "error: invalid complex: facet (0, 1) shared by 3 simplices\n"
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid complex: facet (0, 1) shared by 3 simplices\n")
         assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
@@ -245,8 +246,8 @@ class TestColorVerify:
         col = tmp_path / "c.json"
         col.write_text('{"colors": [0, 1]}')
         assert run("render", str(empty), "--coloring", str(col), "-o", str(tmp_path / "x.svg")) == 2
-        err = capsys.readouterr().err
-        assert "nothing to render" in err and str(col) not in err
+        assert capsys.readouterr().err == (
+            f"error: {empty}: nothing to render: complex has no simplices\n")
 
     def test_missing_vertex_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -290,6 +291,44 @@ class TestColorVerify:
                        "--size", size, "-o", cpath) == 0
             assert run("color", cpath, "-o", col) == 0
             assert run("verify", cpath, col) == 0
+
+
+class TestErrorBoundary:
+    """Every error a command raises exits 2 (3 for a stalled peel) with one
+    line that names the file it is about; none escapes as a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["color", "{fan}", "-o", "{fan}/x.json"], "{fan}/x.json: Not a directory"),
+        (["color", "{fan}", "-o", "{tmp}/c.json", "--certificate", "{fan}/x.json"],
+         "{fan}/x.json: Not a directory"),
+        (["render", "{fan}", "-o", "{fan}/x.svg"], "{fan}/x.svg: Not a directory"),
+        (["color", "{fan}/x", "-o", "{tmp}/c.json"], "{fan}/x: Not a directory"),
+        (["color", "{fan}", "-o", "{tmp}/" + "n" * 300], "{tmp}/" + "n" * 300 + ": File name too long"),
+    ], ids=["output", "certificate", "render-output", "input", "name-too-long"])
+    def test_os_error_exit_2_names_path(self, fan_file, tmp_path, capsys, argv, named):
+        fill = {"fan": fan_file, "tmp": str(tmp_path)}
+        before = sorted(tmp_path.iterdir())
+        assert run(*(a.format(**fill) for a in argv)) == 2
+        assert capsys.readouterr().err == f"error: {named.format(**fill)}\n"
+        if "--certificate" not in argv:  # there the coloring is written first
+            assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{bad}", "{colors}"],
+        ["analyze", "{bad}"],
+        ["chromatic", "{bad}"],
+        ["render", "{bad}", "--show-dual", "-o", "{tmp}/x.svg"],
+    ], ids=["verify", "analyze", "chromatic", "render"])
+    def test_overglued_facet_names_input(self, tmp_path, capsys, argv):
+        # `color` under both methods: test_overglued_facet_exit_2_under_both_methods.
+        bad = tmp_path / "overglued.json"
+        bad.write_text('{"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [0, -1]], '
+                       '"simplices": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}')
+        colors = tmp_path / "colors.json"
+        colors.write_text('{"colors": [0, 1, 2]}')
+        assert run(*(a.format(bad=bad, tmp=tmp_path, colors=colors) for a in argv)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid complex: facet (0, 1) shared by 3 simplices\n")
 
 
 class TestAnalyze:
@@ -337,10 +376,12 @@ class TestChromatic:
         assert run("chromatic", path, "--limit", "2000") == 0
         assert capsys.readouterr().out == "exact chromatic number: 3\n"
 
-    def test_limit_refusal(self, tmp_path):
+    def test_limit_refusal(self, tmp_path, capsys):
         path = str(tmp_path / "big.json")
         run("generate", "--kind", "path", "--dim", "2", "--size", "50", "-o", path)
+        capsys.readouterr()
         assert run("chromatic", path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: graph has 50 nodes, above")
         assert run("chromatic", path, "--limit", "50") == 0
 
 
@@ -363,10 +404,13 @@ class TestRender:
         assert svg.count("<circle") == 3
         assert svg.count("<line") == 3
 
-    def test_3d_input_exit_2(self, tmp_path):
+    def test_3d_input_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "t.json")
         run("generate", "--kind", "freudenthal", "--dim", "3", "--size", "1", "-o", path)
+        capsys.readouterr()
         assert run("render", path, "-o", str(tmp_path / "t.svg")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: rendering supports dimension 2 only, got dimension 3\n")
 
     def test_byte_determinism(self, tmp_path):
         c = generate(GeneratorSpec("tri-tiling", 2, 3))

@@ -1,0 +1,152 @@
+"""Mutated complex, OFF and coloring documents through `cli.main`.
+
+Each example writes one input complex (JSON or OFF), optionally a
+coloring, runs one command on them, and checks the CLI's contract: the
+exit code is 0, 2, 3 or 4, no exception escapes, and every exit-2 or
+exit-3 message is one bounded line that starts with ``error: `` and a
+file named on the command line.
+"""
+
+import copy
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simplexcolor.cli import main
+from simplexcolor.coloring import color, peel
+from simplexcolor.generators import GeneratorSpec, generate
+from simplexcolor.model import complex_to_dict, save
+
+SEEDS = [generate(GeneratorSpec(*spec)) for spec in (
+    ("fan", 2, 3), ("closed-fan", 2, 5), ("freudenthal", 2, 1), ("tri-tiling", 2, 1),
+    ("freudenthal", 3, 1), ("path", 1, 3), ("boundary-abstract", 2, 1),
+)]
+# A coloring document per seed: valid where the peel succeeds; the
+# boundary of a tetrahedron has no peel, and gets one color per simplex.
+COLORS = [list(color(c, peel(c)).colors) if k != len(SEEDS) - 1 else list(range(4))
+          for k, c in enumerate(SEEDS)]
+
+HOSTILE = st.one_of(
+    st.integers(-2, 9),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from(["3/7", "-0.5", "1/0", "1e99999999", "1e-4300", "x", "", "0" * 90]),
+    st.lists(st.integers(-1, 9), max_size=4),
+    st.just({}),
+)
+OFF_TOKENS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "99", "0.5", "1/3", "1/0",
+                              "1e99999999", "x", "nan", "#"])
+
+# The commands, each as (argument template, reads a coloring).
+COMMANDS = [
+    (["color", "{input}", "-o", "{dir}/out.json"], False),
+    (["color", "{input}", "--method", "geometric", "-o", "{dir}/out.json",
+      "--certificate", "{dir}/out.cert.json"], False),
+    (["verify", "{input}", "{coloring}"], True),
+    (["analyze", "{input}"], False),
+    (["analyze", "{input}", "--json"], False),
+    (["chromatic", "{input}"], False),
+    (["render", "{input}", "--show-dual", "-o", "{dir}/out.svg"], False),
+    (["render", "{input}", "--coloring", "{coloring}", "-o", "{dir}/out.svg"], True),
+]
+
+
+def mutate_tree(data, doc):
+    """`doc` with one to three nodes replaced, deleted or duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (list, dict)) and node and data.draw(st.integers(0, 3)):
+            parent, key = node, data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                                          else range(len(node))))
+            node = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if parent is None:
+            doc = data.draw(HOSTILE)
+        elif action == "replace":
+            parent[key] = data.draw(HOSTILE)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+    return doc
+
+
+def mutate_bytes(data, text):
+    """The UTF-8 bytes of `text`, sometimes cut short or spliced with bytes
+    that may not be UTF-8."""
+    raw = text.encode()
+    action = data.draw(st.sampled_from(["keep"] * 6 + ["truncate", "splice"]))
+    if action == "keep" or not raw:
+        return raw
+    at = data.draw(st.integers(0, len(raw)))
+    if action == "truncate":
+        return raw[:at]
+    return raw[:at] + data.draw(st.binary(min_size=1, max_size=4)) + raw[at:]
+
+
+def mutate_off(data, text):
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["token", "token", "delete", "duplicate"]))
+        if action == "delete" and len(lines) > 1:
+            del lines[k]
+        elif action == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            tokens = lines[k].split() or [""]
+            j = data.draw(st.integers(0, len(tokens)))
+            tokens[j:j + data.draw(st.integers(0, 1))] = [data.draw(OFF_TOKENS)]
+            lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_inputs_end_in_a_named_exit(data):
+    seed = data.draw(st.integers(0, len(SEEDS) - 1))
+    c = SEEDS[seed]
+    argv_template, reads_coloring = data.draw(st.sampled_from(COMMANDS))
+    with tempfile.TemporaryDirectory() as work:
+        if c.dimension == 2 and data.draw(st.booleans()):
+            input_path = os.path.join(work, "in.off")
+            save(c, input_path, format="off")
+            with open(input_path, encoding="utf-8") as fh:
+                text = fh.read()
+            if data.draw(st.booleans()):
+                text = mutate_off(data, text)
+        else:
+            input_path = os.path.join(work, "in.json")
+            doc = complex_to_dict(c)
+            if data.draw(st.integers(0, 2)):
+                doc = mutate_tree(data, doc)
+            text = json.dumps(doc)
+        with open(input_path, "wb") as fh:
+            fh.write(mutate_bytes(data, text))
+        coloring_path = os.path.join(work, "colors.json")
+        colors = {"colors": COLORS[seed]}
+        if data.draw(st.booleans()):
+            colors = mutate_tree(data, colors)
+        with open(coloring_path, "wb") as fh:
+            fh.write(mutate_bytes(data, json.dumps(colors)))
+
+        fill = {"input": input_path, "coloring": coloring_path, "dir": work}
+        argv = [a.format(**fill) for a in argv_template]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    message = err.getvalue()
+    if code in (2, 3):
+        paths = [a for a in argv if a.startswith(work)]
+        assert message.startswith("error: "), message
+        assert any(message.startswith(f"error: {p}") for p in paths), (argv, message)
+        assert message.count("\n") == 1 and len(message) < 400 + len(work), message

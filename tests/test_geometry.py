@@ -14,7 +14,6 @@ from simplexcolor.geometry import (
     Hyperplane,
     Point,
     _bareiss,
-    det,
     extreme_point,
     homogeneous_orientation,
     homogeneous_row,
@@ -138,10 +137,14 @@ def cofactor_det(rows):
 
 class TestDet:
     def test_matches_cofactor_expansion(self):
+        """_bareiss on rational matrices scaled to integers here, n = 0..6:
+        the closed forms up to 4×4 and the elimination, with its row swaps,
+        above that.  Scaling every entry by L scales the determinant by L^n."""
         rng = random.Random(11)
         singular = 0
+        sizes = Counter()
         for _ in range(300):
-            n = rng.randint(0, 5)
+            n = rng.randint(0, 6)
             rows = [
                 # many zeros force Bareiss to swap rows; some rows repeat
                 [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7, 10 ** 9 + 7)))
@@ -150,16 +153,20 @@ class TestDet:
             ]
             if n >= 2 and rng.random() < 0.2:
                 rows[-1] = [x * Fraction(-2, 3) for x in rows[0]]
+            scale = math.lcm(*(x.denominator for r in rows for x in r))
+            ints = [tuple(x.numerator * (scale // x.denominator) for x in r) for r in rows]
             expected = cofactor_det(rows)
-            got = det([tuple(r) for r in rows])
-            assert isinstance(got, Fraction)
-            assert got == expected, rows
+            got = _bareiss(ints)
+            assert type(got) is int
+            assert got == expected * scale ** n, rows
             singular += expected == 0
+            sizes[n] += 1
         assert singular >= 20
+        assert sizes[5] and sizes[6]
 
     def test_integer_rows(self):
-        assert det([(2, 1), (1, 3)]) == 5
-        assert det([]) == 1
+        assert _bareiss([(2, 1), (1, 3)]) == 5
+        assert _bareiss([]) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_closed_forms_match_cofactor_expansion(self, n):
@@ -528,11 +535,12 @@ def test_hull_kernel_matches_fraction_reference(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_homogeneous_orientation_matches_orientation(d):
-    """The integer degeneracy check reads homogeneous rows and agrees in
-    sign with `orientation`, on integer and rational simplices, including
-    affinely dependent ones (a point repeated, or moved onto the affine
-    span of the others), and on simplices whose every denominator is about
-    10^9, so each row's weight is a product of such primes."""
+    """The integer degeneracy check reads homogeneous rows, and it and
+    `orientation` agree in sign with the cofactor determinant of the rows
+    p_i - p_0 in Fraction arithmetic, on integer and rational simplices,
+    including affinely dependent ones (a point repeated, or moved onto the
+    affine span of the others), and on simplices whose every denominator
+    is about 10^9, so each row's weight is a product of such primes."""
     rng = random.Random(900 + d)
     signs = Counter()
     for _ in range(600):
@@ -551,7 +559,9 @@ def test_homogeneous_orientation_matches_orientation(d):
             ts = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(d)]
             pts[-1] = tuple(pts[0][k] + sum(t * (p[k] - pts[0][k]) for t, p in zip(ts, pts[1:-1]))
                             for k in range(d))
-        expected = orientation([Point(p) for p in pts], d)
+        value = cofactor_det([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+        expected = (value > 0) - (value < 0)
         assert homogeneous_orientation([homogeneous_row(p) for p in pts]) == expected, pts
+        assert orientation([Point(p) for p in pts], d) == expected, pts
         signs[expected] += 1
     assert set(signs) == {-1, 0, 1}
