@@ -17,7 +17,6 @@ from .coloring import (
     TraceStep,
     color,
     exact_chromatic,
-    find_exposed_combinatorial,
     find_exposed_geometric,
     load_certificate,
     peel,
@@ -45,7 +44,6 @@ from .generators import GeneratorSpec, KINDS, generate
 from .geometry import (
     Hyperplane,
     Point,
-    Rational,
     extreme_point,
     orientation,
     point,
@@ -58,7 +56,6 @@ from .model import (
     Facet,
     Simplex,
     ValidationReport,
-    facet_multiplicity,
     load,
     load_coloring,
     save,
@@ -87,7 +84,6 @@ __all__ = [
     "OracleResult",
     "PeelCertificate",
     "Point",
-    "Rational",
     "RenderOptions",
     "Simplex",
     "SimplexColorError",
@@ -99,10 +95,8 @@ __all__ = [
     "color",
     "exact_chromatic",
     "extreme_point",
-    "facet_multiplicity",
     "find_all_cliques",
     "find_clique",
-    "find_exposed_combinatorial",
     "find_exposed_geometric",
     "generate",
     "load",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import coloring as coloring_mod
@@ -28,6 +29,21 @@ def _fmt_detect(path: str) -> str:
     return "off" if path.lower().endswith(".off") else "json"
 
 
+def _refuse_collisions(reads, writes) -> None:
+    """Raise InputError, before anything is written, when an output path
+    resolves to a file the command reads or to another of its outputs.
+    Both are (role, path) pairs, a read path None when not given; the
+    message names the earlier path."""
+    seen = {os.path.realpath(path): (role, path) for role, path in reads if path}
+    for role, path in writes:
+        real = os.path.realpath(path)
+        if real in seen:
+            first_role, first_path = seen[real]
+            raise InputError(f"{first_path}: the {first_role} and the {role} "
+                             f"must be different files")
+        seen[real] = role, path
+
+
 def cmd_generate(args) -> int:
     spec = GeneratorSpec(args.kind, args.dim, args.size, args.seed)
     c = generate(spec)
@@ -38,11 +54,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_color(args) -> int:
+    cert_path = args.certificate or args.output + ".cert.json"
+    _refuse_collisions([("input", args.input)],
+                       [("coloring", args.output), ("certificate", cert_path)])
     c = load(args.input, format=_fmt_detect(args.input))
     cert = peel(c, args.method)
     col = color(c, cert)
     save_coloring(col, args.output)
-    cert_path = args.certificate or args.output + ".cert.json"
     save_certificate(cert, cert_path)
     used = len(set(col.colors)) if col.colors else 0
     print(f"colored {len(c.simplices)} simplices with {used} colors "
@@ -132,6 +150,8 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _refuse_collisions([("input", args.input), ("coloring", args.coloring)],
+                       [("SVG", args.output)])
     c = load(args.input, format=_fmt_detect(args.input))
     col = load_coloring(args.coloring) if args.coloring else None
     palette = tuple(args.palette.split(",")) if args.palette else DEFAULT_PALETTE
@@ -205,12 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _named(exc: Exception, args) -> str:
     """The message of an error a command raised, naming its file once.  An
     OSError names the file the system refused; a message that starts with
-    a path from the command line (a reader's own) keeps it; any other is
-    about the coloring file for a ColoringError and the input otherwise."""
+    a path from the command line (a reader's own, or a refused output)
+    keeps it; any other is about the coloring file for a ColoringError and
+    the input otherwise."""
     if isinstance(exc, OSError) and exc.filename is not None:
         return f"{exc.filename}: {exc.strerror}"
     input_path, coloring, message = vars(args).get("input"), vars(args).get("coloring"), str(exc)
-    if any(p and message.startswith(f"{p}:") for p in (input_path, coloring)):
+    output = vars(args).get("output")
+    if any(p and message.startswith(f"{p}:") for p in (input_path, coloring, output)):
         return message
     path = coloring if isinstance(exc, ColoringError) and coloring else input_path
     return f"{path}: {message}" if path else message

@@ -86,19 +86,6 @@ def load_certificate(path: str) -> PeelCertificate:
 # Exposed-simplex finders
 
 
-def find_exposed_combinatorial(c: Complex) -> tuple[int, Facet]:
-    """Lowest-index simplex with a multiplicity-1 facet, with its
-    lexicographically smallest exposed facet as witness."""
-    if not c.simplices:
-        raise InputError("empty complex has no exposed simplex")
-    owners = c.facet_owners
-    for i, s in enumerate(c.simplices):
-        exposed = [f for f in s.facet_ids() if len(owners[f]) == 1]
-        if exposed:
-            return i, Facet._sliced(min(exposed))
-    raise UnrealizableComplexError(len(c.simplices))
-
-
 def _find_exposed_geometric(c: Complex, alive: list[int]):
     """Exposed simplex among `alive`, found by nested-hull descent.
 
@@ -192,7 +179,8 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int],
 
 
 def find_exposed_geometric(c: Complex):
-    """Geometric counterpart of find_exposed_combinatorial.
+    """The exposed simplex the nested-hull descent finds in the whole
+    complex, recomputed from scratch: the reference for the geometric peel.
 
     Returns (simplex index, exposed facet, trace), where the trace records
     the strictly decreasing sizes of the nested working sets.
@@ -243,31 +231,31 @@ def _peel_combinatorial(c: Complex) -> PeelCertificate:
 
 def _peel_geometric(c: Complex) -> PeelCertificate:
     """Geometric peel that keeps its state incrementally: each vertex's
-    star (simplex indices, increasing) and live-incidence count, and one
-    lexicographic vertex order.  The lexicographically minimal used vertex
-    can only move forward as simplices die, so a forward-only cursor finds
-    each step's hull vertex, and a step touches only that vertex's star."""
+    star (simplex indices, increasing), filtered in place to its live
+    simplices, and one lexicographic vertex order.  The lexicographically
+    minimal used vertex can only move forward as simplices die, so a
+    forward-only cursor, passing each vertex whose live star is empty,
+    finds each step's hull vertex, and a step touches only that vertex's
+    star."""
     star: list[list[int]] = [[] for _ in c.vertices]
     for i, s in enumerate(c.simplices):
         for v in s.vertex_ids:
             star[v].append(i)
-    count = [len(s) for s in star]
     # A stable sort keeps extreme_point's first-minimum tie-break.
     order = sorted(range(len(c.vertices)), key=lambda v: c.vertices[v].coords)
     cursor = 0
     live = set(range(len(c.simplices)))
     steps: list[tuple[int, Facet]] = []
     while live:
-        while not count[order[cursor]]:
-            cursor += 1
         v = order[cursor]
         # Written back, so each star only shrinks; _descend never mutates it.
         star[v] = [j for j in star[v] if j in live]
+        if not star[v]:
+            cursor += 1
+            continue
         i, witness = _descend(c, v, star[v], live)
         steps.append((i, witness))
         live.remove(i)
-        for u in c.simplices[i].vertex_ids:
-            count[u] -= 1
     return PeelCertificate(tuple(steps), GEOMETRIC)
 
 
@@ -400,12 +388,6 @@ class _Dsatur:
             self._push(w)
 
 
-def _greedy_dsatur(g: DualGraph) -> list[int]:
-    """DSATUR's greedy coloring: with as many colors as nodes the search
-    never backtracks, and each pick takes its smallest free color."""
-    return _try_k_coloring(g, g.node_count)
-
-
 def _max_clique_size(g: DualGraph) -> int:
     n = g.node_count
     best = 1 if n else 0
@@ -474,7 +456,9 @@ def exact_chromatic(g: DualGraph, node_limit: int = 40) -> OracleResult:
         )
     if n == 0:
         return OracleResult(0, Coloring(()))
-    greedy = _greedy_dsatur(g)
+    # DSATUR's greedy coloring: with as many colors as nodes the search
+    # never backtracks, and each pick takes its smallest free color.
+    greedy = _try_k_coloring(g, n)
     upper = max(greedy) + 1
     lower = _max_clique_size(g)
     best = greedy

@@ -28,12 +28,6 @@ class DualGraph:
     def node_count(self) -> int:
         return len(self.adjacency)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency[i]
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j]
 

@@ -35,10 +35,6 @@ from operator import mul
 
 from .errors import InputError, shorten
 
-# Exact rational scalar used throughout the library.  Fraction already
-# guarantees the reduced-form invariants (positive denominator, gcd 1).
-Rational = Fraction
-
 Vec = tuple[Fraction, ...]
 
 # The largest decimal exponent a coordinate string may carry.  Fraction

@@ -117,9 +117,6 @@ class Complex:
             if s.vertex_ids[0] < 0 or s.vertex_ids[-1] >= n:
                 raise InputError(f"simplex {i} references a missing vertex")
 
-    def simplex_points(self, i: int) -> list[Point]:
-        return [self.vertices[v] for v in self.simplices[i].vertex_ids]
-
     @cached_property
     def _facet_index(self):
         """facet_owners and facet_numbers.  Each facet is numbered when
@@ -201,11 +198,6 @@ class ValidationReport:
         head = f"{self.level}: {'ok' if self.ok else f'{len(self.issues)} issue(s)'}"
         lines = [head] + [f"  [{i.code}] {i.message}" for i in self.issues]
         return "\n".join(lines)
-
-
-def facet_multiplicity(c: Complex) -> dict[Facet, int]:
-    """How many simplices own each facet: 1 = exposed, 2 = glued."""
-    return {Facet._sliced(f): len(own) for f, own in c.facet_owners.items()}
 
 
 def _axis_ranks(c: Complex) -> list[list[int]]:

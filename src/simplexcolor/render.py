@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .dual import build_dual
-from .errors import ColoringError, InputError
+from .errors import ColoringError, InputError, shorten
 from .model import Coloring, Complex
 
 DEFAULT_PALETTE = (
@@ -34,6 +34,11 @@ class RenderOptions:
         for name, size in (("width", self.width), ("height", self.height)):
             if size <= 0:
                 raise InputError(f"render {name} must be positive, got {size}")
+        # Each entry is written into a quoted SVG attribute as it stands.
+        for fill in self.palette:
+            if not fill or any(ch in fill for ch in '"<>&'):
+                raise InputError(f"palette entry {shorten(repr(fill))} must be non-empty "
+                                 'and free of " < > &')
 
 
 def _fixed3(num: int, den: int) -> str:
@@ -55,6 +60,7 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
         )
     if not c.simplices:
         raise InputError("nothing to render: complex has no simplices")
+    dual = build_dual(c)  # rejects an overglued facet, as every command does
     if coloring is not None:
         if len(coloring.colors) != len(c.simplices):
             raise ColoringError("coloring length does not match simplex count")
@@ -107,7 +113,7 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
             cden = 3 * den * q
             centroids.append((_fixed3(xa * ka + xb * kb + xc * kc, cden),
                               _fixed3(ya * ka + yb * kb + yc * kc, cden)))
-        for i, j in build_dual(c).edges():
+        for i, j in dual.edges():
             (x1, y1), (x2, y2) = centroids[i], centroids[j]
             lines.append(
                 f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '

@@ -49,7 +49,6 @@ from simplexcolor.model import (
     Complex,
     Simplex,
     complex_to_dict,
-    facet_multiplicity,
     load,
     save,
     validate,

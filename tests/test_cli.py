@@ -313,12 +313,37 @@ class TestErrorBoundary:
         if "--certificate" not in argv:  # there the coloring is written first
             assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("argv, named", [
+        (["color", "{fan}", "-o", "{tmp}/same.json", "--certificate", "{tmp}/same.json"],
+         "{tmp}/same.json: the coloring and the certificate must be different files"),
+        (["color", "{fan}", "-o", "{fan}"], "{fan}: the input and the coloring must be different files"),
+        (["color", "{fan}", "-o", "{tmp}/c.json", "--certificate", "{tmp}/./fan.json"],
+         "{fan}: the input and the certificate must be different files"),
+        (["color", "{fan}", "-o", "{tmp}/link.json"],
+         "{fan}: the input and the coloring must be different files"),
+        (["render", "{fan}", "-o", "{fan}"], "{fan}: the input and the SVG must be different files"),
+        (["render", "{fan}", "--coloring", "{colors}", "-o", "{tmp}/sub/../colors.json"],
+         "{colors}: the coloring and the SVG must be different files"),
+    ], ids=["two-outputs", "coloring-input", "certificate-input", "symlink-input",
+            "render-input", "render-coloring"])
+    def test_colliding_paths_exit_2_write_nothing(self, fan_file, tmp_path, capsys, argv, named):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(fan_file)
+        colors = tmp_path / "colors.json"
+        colors.write_text('{"colors": [0, 1, 2]}')
+        fill = {"fan": fan_file, "tmp": str(tmp_path), "colors": str(colors)}
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(*(a.format(**fill) for a in argv)) == 2
+        assert capsys.readouterr().err == f"error: {named.format(**fill)}\n"
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("argv", [
         ["verify", "{bad}", "{colors}"],
         ["analyze", "{bad}"],
         ["chromatic", "{bad}"],
         ["render", "{bad}", "--show-dual", "-o", "{tmp}/x.svg"],
-    ], ids=["verify", "analyze", "chromatic", "render"])
+        ["render", "{bad}", "-o", "{tmp}/x.svg"],
+    ], ids=["verify", "analyze", "chromatic", "render", "render-no-overlay"])
     def test_overglued_facet_names_input(self, tmp_path, capsys, argv):
         # `color` under both methods: test_overglued_facet_exit_2_under_both_methods.
         bad = tmp_path / "overglued.json"
@@ -329,6 +354,7 @@ class TestErrorBoundary:
         assert run(*(a.format(bad=bad, tmp=tmp_path, colors=colors) for a in argv)) == 2
         assert capsys.readouterr().err == (
             f"error: {bad}: invalid complex: facet (0, 1) shared by 3 simplices\n")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestAnalyze:
@@ -435,6 +461,17 @@ class TestRender:
         svg_path = tmp_path / "x.svg"
         assert run("render", fan_file, flag, value, "-o", str(svg_path)) == 2
         assert f"{flag[2:]} must be positive, got {value}" in capsys.readouterr().err
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("palette", ['red" onload="alert(1),blue,green', 'a"b,blue,green',
+                                         "red,,blue", "red,<b>,blue", "red,&amp,blue"])
+    def test_unsafe_palette_exit_2(self, fan_file, tmp_path, capsys, palette):
+        col_path = str(tmp_path / "c.json")
+        run("color", fan_file, "-o", col_path)
+        svg_path = tmp_path / "p.svg"
+        assert run("render", fan_file, "--coloring", col_path, "--palette", palette,
+                   "-o", str(svg_path)) == 2
+        assert "must be non-empty and free of" in capsys.readouterr().err
         assert not svg_path.exists()
 
     def test_palette_too_small(self, fan_file, tmp_path):

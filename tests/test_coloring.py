@@ -9,7 +9,6 @@ from simplexcolor import coloring
 from simplexcolor.coloring import (
     COMBINATORIAL,
     OracleResult,
-    _greedy_dsatur,
     _max_clique_size,
     _try_k_coloring,
     GEOMETRIC,
@@ -19,7 +18,6 @@ from simplexcolor.coloring import (
     color,
     load_certificate,
     exact_chromatic,
-    find_exposed_combinatorial,
     find_exposed_geometric,
     peel,
     verify_coloring,
@@ -34,7 +32,6 @@ from simplexcolor.model import (
     Complex,
     Facet,
     Simplex,
-    facet_multiplicity,
     validate,
 )
 
@@ -152,29 +149,31 @@ def replay_check(c, cert):
 
 
 class TestFindExposedCombinatorial:
+    """The combinatorial peel's first step: the lowest-index simplex with
+    an exposed facet, and its lexicographically smallest exposed facet."""
+
     def test_single_simplex(self):
-        i, f = find_exposed_combinatorial(unit_triangle())
+        i, f = peel(unit_triangle()).steps[0]
         assert i == 0
         assert f == Facet((0, 1))  # lexicographically smallest facet
 
     def test_fan_tie_break(self):
-        i, f = find_exposed_combinatorial(fan_k3())
+        c = fan_k3()
+        i, f = peel(c).steps[0]
         assert i == 0
-        mult = facet_multiplicity(fan_k3())
-        assert mult[f] == 1
+        assert len(c.facet_owners[f.vertex_ids]) == 1
 
     def test_abstract_boundary_errors(self):
         with pytest.raises(UnrealizableComplexError) as err:
-            find_exposed_combinatorial(tetra_boundary_in_plane())
+            peel(tetra_boundary_in_plane())
         assert err.value.residual_size == 4
 
     def test_all_facets_glued_by_enumeration(self):
         # independent confirmation that the abstract boundary has no exposed
         # facet: every edge of every triangle owned twice
-        c = tetra_boundary_in_plane()
-        mult = facet_multiplicity(c)
-        assert all(m == 2 for m in mult.values())
-        assert len(mult) == 6
+        owners = tetra_boundary_in_plane().facet_owners
+        assert all(len(own) == 2 for own in owners.values())
+        assert len(owners) == 6
 
 
 class TestFindExposedGeometric:
@@ -187,7 +186,7 @@ class TestFindExposedGeometric:
     def test_fan(self):
         c = fan_k3()
         i, f, trace = find_exposed_geometric(c)
-        assert facet_multiplicity(c)[f] == 1
+        assert len(c.facet_owners[f.vertex_ids]) == 1
         assert trace[0].anchor_ids == (3,)  # lex-min vertex is (-1, -2)
 
     def test_partial_fan_extreme_triangle(self):
@@ -205,7 +204,7 @@ class TestFindExposedGeometric:
         i, f, trace = find_exposed_geometric(c)
         assert i in (0, 1)
         assert 0 in f.vertex_ids
-        assert facet_multiplicity(c)[f] == 1
+        assert len(c.facet_owners[f.vertex_ids]) == 1
 
     def test_pinwheel_recurses(self):
         c = pinwheel()
@@ -214,7 +213,7 @@ class TestFindExposedGeometric:
         assert len(trace) >= 2
         sizes = [t.subset_size for t in trace]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
-        assert facet_multiplicity(c)[f] == 1
+        assert len(c.facet_owners[f.vertex_ids]) == 1
         # the descent anchors on a hook edge shared by the split blade
         assert trace[0].anchor_ids == (0,)
         assert trace[1].anchor_ids == (0, 3)
@@ -442,7 +441,7 @@ class TestExactChromatic:
 def _ref_dsatur_pick(g, colors, neighbor_colors):
     return max(
         (v for v in range(g.node_count) if colors[v] < 0),
-        key=lambda v: (len(neighbor_colors[v]), g.degree(v), -v),
+        key=lambda v: (len(neighbor_colors[v]), len(g.adjacency[v]), -v),
     )
 
 
@@ -454,7 +453,7 @@ def _ref_greedy_dsatur(g):
         best = _ref_dsatur_pick(g, colors, neighbor_colors)
         chosen = next(k for k in range(n + 1) if k not in neighbor_colors[best])
         colors[best] = chosen
-        for w in g.neighbors(best):
+        for w in g.adjacency[best]:
             neighbor_colors[w].add(chosen)
     return colors
 
@@ -475,7 +474,7 @@ def _ref_try_k_coloring(g, k):
         if col is not None:
             colors[v] = col
             delta = []
-            for w in g.neighbors(v):
+            for w in g.adjacency[v]:
                 if col not in neighbor_colors[w]:
                     neighbor_colors[w].add(col)
                     delta.append(w)
@@ -548,7 +547,7 @@ def test_dsatur_heap_matches_scan_reference(monkeypatch):
     outcomes = set()
     for _ in range(450):
         g = random_graph(rng)
-        assert _greedy_dsatur(g) == _ref_greedy_dsatur(g), g
+        assert _try_k_coloring(g, g.node_count) == _ref_greedy_dsatur(g), g
         for k in range(6):
             got = _try_k_coloring(g, k)
             assert got == _ref_try_k_coloring(g, k), (g, k)

@@ -88,7 +88,7 @@ class TestBuildDual:
     def test_fan_is_k3(self):
         g = build_dual(fan_k3())
         assert g.node_count == 3
-        assert all(g.degree(i) == 2 for i in range(3))
+        assert all(len(g.adjacency[i]) == 2 for i in range(3))
         assert find_clique(g, 3) == [0, 1, 2]
 
     def test_freudenthal_cube_matches_brute_force(self):
@@ -102,7 +102,7 @@ class TestBuildDual:
         got = set(g.edges())
         assert got == expected
         assert len(got) == 6  # a 6-cycle around the main diagonal
-        assert all(g.degree(i) == 2 for i in range(6))
+        assert all(len(g.adjacency[i]) == 2 for i in range(6))
 
     def test_edges_join_simplices_sharing_a_facet(self):
         for c in (fan_k3(), freudenthal_unit_cube(), four_tetrahedra_k4()):
@@ -117,10 +117,9 @@ class TestBuildDual:
         g = build_dual(freudenthal_unit_cube())
         assert [f.name for f in fields(g)] == ["adjacency"]
         assert g.node_count == len(g.adjacency) == 6
-        for i, nbrs in enumerate(g.adjacency):
+        for nbrs in g.adjacency:
             assert type(nbrs) is tuple and list(nbrs) == sorted(nbrs)
             assert all(type(j) is int for j in nbrs)
-            assert g.neighbors(i) is nbrs
 
     def test_overglued_rejected(self):
         verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1), point(-1, -1))
@@ -284,4 +283,4 @@ class TestAnalyzeKd1:
 
 
 def _pairwise_adjacent(g, nodes):
-    return all(b in g.neighbors(a) for a in nodes for b in nodes if a != b)
+    return all(b in g.adjacency[a] for a in nodes for b in nodes if a != b)

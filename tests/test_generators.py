@@ -24,7 +24,6 @@ from simplexcolor.model import (
     COMBINATORIAL,
     GEOMETRIC_STRICT,
     complex_to_dict,
-    facet_multiplicity,
     validate,
 )
 
@@ -45,7 +44,7 @@ def exact_volume(c):
     for k in range(2, d + 1):
         fact *= k
     for i in range(len(c.simplices)):
-        pts = c.simplex_points(i)
+        pts = [c.vertices[v] for v in c.simplices[i].vertex_ids]
         rows = [tuple(a - b for a, b in zip(p.coords, pts[0].coords)) for p in pts[1:]]
         total += abs(Fraction(cofactor_det(rows))) / fact
     return total
@@ -66,11 +65,10 @@ class TestFan:
         assert len(c.simplices) == k
         assert validate(c, GEOMETRIC_STRICT).ok
         g = build_dual(c)
-        assert all(g.degree(i) == 2 for i in range(k))
+        assert all(len(g.adjacency[i]) == 2 for i in range(k))
         # central vertex fully surrounded: all its edges glued
-        mult = facet_multiplicity(c)
-        spokes = [f for f in mult if 0 in f.vertex_ids]
-        assert all(mult[f] == 2 for f in spokes)
+        spokes = [own for f, own in c.facet_owners.items() if 0 in f]
+        assert all(len(own) == 2 for own in spokes)
 
     @pytest.mark.parametrize("d,k", [(3, 3), (3, 6), (4, 4), (7, 3)])
     def test_ring_any_dimension(self, d, k):
@@ -78,7 +76,7 @@ class TestFan:
         assert len(c.simplices) == k
         assert validate(c, COMBINATORIAL).ok
         g = build_dual(c)
-        assert all(g.degree(i) == 2 for i in range(k))
+        assert all(len(g.adjacency[i]) == 2 for i in range(k))
 
     def test_closed_fan_alias(self):
         a = generate(GeneratorSpec(CLOSED_FAN, 2, 6))
@@ -150,7 +148,7 @@ class TestPath:
         assert len(c.simplices) == n
         assert validate(c, GEOMETRIC_STRICT).ok
         g = build_dual(c)
-        degrees = sorted(g.degree(i) for i in range(n))
+        degrees = sorted(map(len, g.adjacency))
         if n == 1:
             assert degrees == [0]
         else:
@@ -164,7 +162,7 @@ class TestBoundaryAbstract:
         assert len(c.simplices) == d + 2
         # combinatorial invariants hold; every facet is glued
         assert validate(c, COMBINATORIAL).ok
-        assert all(m == 2 for m in facet_multiplicity(c).values())
+        assert all(len(own) == 2 for own in c.facet_owners.values())
         # brute-force shared-facet enumeration: every pair adjacent
         for i, j in combinations(range(d + 2), 2):
             shared = set(c.simplices[i].vertex_ids) & set(c.simplices[j].vertex_ids)
@@ -237,8 +235,7 @@ class TestDelaunay:
     def test_boundary_is_convex_hull(self, seed):
         c = generate(GeneratorSpec(DELAUNAY2D, 2, 35, seed=seed))
         pts = [(p[0], p[1]) for p in c.vertices]
-        mult = facet_multiplicity(c)
-        boundary = {f.vertex_ids for f, m in mult.items() if m == 1}
+        boundary = {f for f, own in c.facet_owners.items() if len(own) == 1}
         assert boundary == brute_hull_edges(pts)
 
     def test_all_points_used(self):
@@ -254,7 +251,7 @@ class TestDelaunay:
 
     def test_no_overglued_facets(self):
         c = generate(GeneratorSpec(DELAUNAY2D, 2, 80, seed=3))
-        assert max(facet_multiplicity(c).values()) <= 2
+        assert max(map(len, c.facet_owners.values())) <= 2
 
     def test_cocircular_grid_handled(self):
         # A perfect grid is massively cocircular; exact predicates must

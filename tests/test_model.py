@@ -27,7 +27,6 @@ from simplexcolor.model import (
     _box_cells,
     coloring_from_dict,
     complex_from_dict,
-    facet_multiplicity,
     load,
     load_coloring,
     save,
@@ -147,8 +146,7 @@ class TestValidate:
     def test_two_glued_triangles_valid(self):
         c = two_glued_triangles()
         assert validate(c, GEOMETRIC_STRICT).ok
-        mult = facet_multiplicity(c)
-        assert mult[Facet((1, 2))] == 2
+        assert len(c.facet_owners[(1, 2)]) == 2
 
     def test_degenerate_simplex_reported(self):
         c = Complex(2, (point(0, 0), point(1, 0), point(2, 0)), (Simplex((0, 1, 2)),))
@@ -316,8 +314,7 @@ def test_overlap_check_matches_independent_oracle():
 
 class TestFacetMultiplicity:
     def test_single_simplex_all_exposed(self):
-        mult = facet_multiplicity(unit_triangle())
-        assert sorted(mult.values()) == [1, 1, 1]
+        assert sorted(map(len, unit_triangle().facet_owners.values())) == [1, 1, 1]
 
     def test_single_tetrahedron(self):
         c = Complex(
@@ -325,18 +322,18 @@ class TestFacetMultiplicity:
             (point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(0, 0, 1)),
             (Simplex((0, 1, 2, 3)),),
         )
-        assert sorted(facet_multiplicity(c).values()) == [1, 1, 1, 1]
+        assert sorted(map(len, c.facet_owners.values())) == [1, 1, 1, 1]
 
     def test_two_glued(self):
-        mult = facet_multiplicity(two_glued_triangles())
-        assert sorted(mult.values()) == [1, 1, 1, 1, 2]
+        owners = two_glued_triangles().facet_owners
+        assert sorted(map(len, owners.values())) == [1, 1, 1, 1, 2]
 
     def test_fan_of_three(self):
-        mult = facet_multiplicity(fan_k3())
-        interior = [f for f, m in mult.items() if m == 2]
-        boundary = [f for f, m in mult.items() if m == 1]
+        owners = fan_k3().facet_owners
+        interior = [f for f, own in owners.items() if len(own) == 2]
+        boundary = [f for f, own in owners.items() if len(own) == 1]
         assert len(interior) == 3 and len(boundary) == 3
-        assert all(0 in f.vertex_ids for f in interior)
+        assert all(0 in f for f in interior)
 
 
 class TestSerialization:
@@ -538,13 +535,18 @@ def overlap_pairs(report):
     return [i.where for i in report.issues if i.code == "interior-overlap"]
 
 
+def simplex_coords(c, i):
+    """Simplex i's vertex coordinates, in vertex-id order."""
+    return [c.vertices[v].coords for v in c.simplices[i].vertex_ids]
+
+
 def oracle_pairs(c):
     """Every overlapping pair of non-degenerate simplices, by the oracle,
     with a Fraction x-interval prefilter."""
     d = c.dimension
     live = []
     for i in range(len(c.simplices)):
-        pts = [p.coords for p in c.simplex_points(i)]
+        pts = simplex_coords(c, i)
         if not is_degenerate(pts):
             live.append((min(p[0] for p in pts), max(p[0] for p in pts), i, pts))
     live.sort()
@@ -621,7 +623,7 @@ def test_strict_report_invariant_under_rational_scaling():
 def moved_vertex(c):
     """Move the last vertex of simplex 0 to the centroid of the middle
     simplex, which forces interior overlaps."""
-    mid = c.simplex_points(len(c.simplices) // 2)
+    mid = simplex_coords(c, len(c.simplices) // 2)
     centroid = [sum(p[k] for p in mid) / len(mid) for k in range(c.dimension)]
     verts = list(c.vertices)
     verts[c.simplices[0].vertex_ids[-1]] = point(*centroid)
@@ -712,8 +714,7 @@ def check_pairs_against_oracle(d, verts, pairs):
     vertices = tuple(point(*v) for v in verts)
     for ids_a, ids_b, overlap in pairs:
         c = Complex(d, vertices, (Simplex(ids_a), Simplex(ids_b)))
-        expected = oracle_interiors_overlap([p.coords for p in c.simplex_points(0)],
-                                            [p.coords for p in c.simplex_points(1)], d)
+        expected = oracle_interiors_overlap(simplex_coords(c, 0), simplex_coords(c, 1), d)
         assert expected == overlap, (ids_a, ids_b)
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == overlap, (ids_a, ids_b)
 
@@ -932,7 +933,7 @@ def sweep_order(c):
     d = c.dimension
     boxes = []
     for i in range(len(c.simplices)):
-        pts = [p.coords for p in c.simplex_points(i)]
+        pts = simplex_coords(c, i)
         if not is_degenerate(pts):
             boxes.append((tuple(min(p[k] for p in pts) for k in range(d)),
                           tuple(max(p[k] for p in pts) for k in range(d)), i))
@@ -995,10 +996,10 @@ def brute_force_report(c):
     issues = validate(c, COMBINATORIAL).issues
     degenerate = {issue.where[0] for issue in issues if issue.code == "degenerate-simplex"}
     live = sorted((i for i in range(len(c.simplices)) if i not in degenerate),
-                  key=lambda i: tuple(min(p[k] for p in c.simplex_points(i)) for k in range(d)))
+                  key=lambda i: tuple(min(p[k] for p in simplex_coords(c, i)) for k in range(d)))
     entries = {}
     for i in live:
-        pts = [p.coords for p in c.simplex_points(i)]
+        pts = simplex_coords(c, i)
         q = lcm(*(Fraction(x).denominator for p in pts for x in p))
         entries[i] = (c.simplices[i].vertex_ids,
                       [tuple(int(x * q) for x in p) + (q,) for p in pts], [None] * (d + 1))

@@ -19,7 +19,7 @@ from simplexcolor.generators import (
     generate,
 )
 from simplexcolor.model import COMBINATORIAL as LEVEL_COMBINATORIAL
-from simplexcolor.model import GEOMETRIC_STRICT, facet_multiplicity, validate
+from simplexcolor.model import GEOMETRIC_STRICT, validate
 
 CORPUS_SPECS = [
     GeneratorSpec(FAN, 2, 3),
@@ -53,7 +53,7 @@ def test_all_kinds_validate(corpus):
 
 def test_facet_multiplicity_at_most_two(corpus):
     for spec, c in corpus:
-        assert set(facet_multiplicity(c).values()) <= {1, 2}, spec
+        assert set(map(len, c.facet_owners.values())) <= {1, 2}, spec
 
 
 def test_max_dual_degree_at_most_d_plus_1(corpus):

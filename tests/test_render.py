@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from simplexcolor.coloring import color, peel
 from simplexcolor.dual import build_dual
+from simplexcolor.errors import InputError
 from simplexcolor.generators import GeneratorSpec, generate
 from simplexcolor.geometry import point
 from simplexcolor.model import Complex, Simplex
@@ -153,3 +154,9 @@ def test_fixed3_ties_round_half_even(k, scale):
     # unreduced by a common factor.
     num, den = (2 * k + 1) * scale, 2000 * scale
     assert _fixed3(num, den) == _ref_fmt(Fraction(num, den))
+
+
+@pytest.mark.parametrize("entry", ['red" onload="alert(1)', 'a"b', "", "<b>", "a&b", "a>b"])
+def test_palette_entry_that_breaks_svg_rejected(entry):
+    with pytest.raises(InputError, match="palette entry"):
+        RenderOptions(palette=("#111111", entry, "#333333"))
