@@ -25,7 +25,6 @@ from .coloring import (
 )
 from .dual import (
     CliqueReport,
-    DualGraph,
     GraphStats,
     analyze_max_clique_configuration,
     build_dual,
@@ -43,10 +42,8 @@ from .errors import (
 from .generators import GeneratorSpec, KINDS, generate
 from .geometry import (
     Hyperplane,
-    Point,
     extreme_point,
     orientation,
-    point,
     side_of,
     supporting_hyperplane,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "Coloring",
     "ColoringError",
     "Complex",
-    "DualGraph",
     "Facet",
     "GeneratorSpec",
     "GraphStats",
@@ -83,7 +79,6 @@ __all__ = [
     "KINDS",
     "OracleResult",
     "PeelCertificate",
-    "Point",
     "RenderOptions",
     "Simplex",
     "SimplexColorError",
@@ -104,7 +99,6 @@ __all__ = [
     "load_coloring",
     "orientation",
     "peel",
-    "point",
     "render_svg",
     "save",
     "save_certificate",

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 
 from . import coloring as coloring_mod
 from .coloring import color, exact_chromatic, peel, save_certificate, verify_coloring
@@ -23,10 +24,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNREALIZABLE = 3
 EXIT_INVALID_COLORING = 4
-
-
-def _fmt_detect(path: str) -> str:
-    return "off" if path.lower().endswith(".off") else "json"
 
 
 def _refuse_collisions(reads, writes) -> None:
@@ -47,7 +44,7 @@ def _refuse_collisions(reads, writes) -> None:
 def cmd_generate(args) -> int:
     spec = GeneratorSpec(args.kind, args.dim, args.size, args.seed)
     c = generate(spec)
-    save(c, args.output, format=_fmt_detect(args.output))
+    save(c, args.output)
     print(f"wrote {args.output}: dimension {c.dimension}, "
           f"{len(c.vertices)} vertices, {len(c.simplices)} simplices")
     return EXIT_OK
@@ -57,11 +54,18 @@ def cmd_color(args) -> int:
     cert_path = args.certificate or args.output + ".cert.json"
     _refuse_collisions([("input", args.input)],
                        [("coloring", args.output), ("certificate", cert_path)])
-    c = load(args.input, format=_fmt_detect(args.input))
+    c = load(args.input)
     cert = peel(c, args.method)
     col = color(c, cert)
-    save_coloring(col, args.output)
-    save_certificate(cert, cert_path)
+    fresh = [path for path in (args.output, cert_path) if not os.path.lexists(path)]
+    try:
+        save_coloring(col, args.output)
+        save_certificate(cert, cert_path)
+    except OSError:
+        for path in fresh:  # a failed command leaves no new file behind
+            with suppress(OSError):
+                os.remove(path)
+        raise
     used = len(set(col.colors)) if col.colors else 0
     print(f"colored {len(c.simplices)} simplices with {used} colors "
           f"(method {cert.method}); coloring {args.output}, certificate {cert_path}")
@@ -69,7 +73,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    c = load(args.input, format=_fmt_detect(args.input))
+    c = load(args.input)
     col = load_coloring(args.coloring)
     ok, violations = verify_coloring(c, col)
     if ok:
@@ -114,7 +118,7 @@ def _analysis(c) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    c = load(args.input, format=_fmt_detect(args.input))
+    c = load(args.input)
     info = _analysis(c)
     if args.json:
         print(json.dumps(info, indent=2))
@@ -142,7 +146,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
-    c = load(args.input, format=_fmt_detect(args.input))
+    c = load(args.input)
     g = build_dual(c)
     res = exact_chromatic(g, node_limit=args.limit)
     print(f"exact chromatic number: {res.chromatic_number}")
@@ -152,9 +156,15 @@ def cmd_chromatic(args) -> int:
 def cmd_render(args) -> int:
     _refuse_collisions([("input", args.input), ("coloring", args.coloring)],
                        [("SVG", args.output)])
-    c = load(args.input, format=_fmt_detect(args.input))
-    col = load_coloring(args.coloring) if args.coloring else None
     palette = tuple(args.palette.split(",")) if args.palette else DEFAULT_PALETTE
+    # Each option is checked on its own, so that a refusal names it.
+    for field, value in (("width", args.width), ("height", args.height), ("palette", palette)):
+        try:
+            RenderOptions(**{field: value})
+        except InputError as exc:
+            raise InputError(f"--{field}: {exc}") from exc
+    c = load(args.input)
+    col = load_coloring(args.coloring) if args.coloring else None
     options = RenderOptions(args.width, args.height, palette, args.show_dual)
     svg = render_svg(c, col, options)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -223,16 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _named(exc: Exception, args) -> str:
-    """The message of an error a command raised, naming its file once.  An
-    OSError names the file the system refused; a message that starts with
-    a path from the command line (a reader's own, or a refused output)
-    keeps it; any other is about the coloring file for a ColoringError and
-    the input otherwise."""
+    """The message of an error a command raised, naming its file or option
+    once.  An OSError names the file the system refused; a message that
+    starts with a path from the command line (a reader's own, or a refused
+    output) or with an option (a refused --width) keeps it; any other is
+    about the coloring file for a ColoringError and the input otherwise."""
     if isinstance(exc, OSError) and exc.filename is not None:
         return f"{exc.filename}: {exc.strerror}"
     input_path, coloring, message = vars(args).get("input"), vars(args).get("coloring"), str(exc)
     output = vars(args).get("output")
-    if any(p and message.startswith(f"{p}:") for p in (input_path, coloring, output)):
+    if message.startswith("--") or any(p and message.startswith(f"{p}:")
+                                       for p in (input_path, coloring, output)):
         return message
     path = coloring if isinstance(exc, ColoringError) and coloring else input_path
     return f"{path}: {message}" if path else message

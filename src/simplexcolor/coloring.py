@@ -20,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
-from .dual import DualGraph, build_dual
+from .dual import build_dual
 from .errors import ColoringError, InputError, InvariantError, UnrealizableComplexError
 from .geometry import extreme_point, hull_normal
 from .model import Coloring, Complex, Facet, _all_ints, _is_int, _naming, _read_json, _write_json
@@ -242,7 +242,7 @@ def _peel_geometric(c: Complex) -> PeelCertificate:
         for v in s.vertex_ids:
             star[v].append(i)
     # A stable sort keeps extreme_point's first-minimum tie-break.
-    order = sorted(range(len(c.vertices)), key=lambda v: c.vertices[v].coords)
+    order = sorted(range(len(c.vertices)), key=c.vertices.__getitem__)
     cursor = 0
     live = set(range(len(c.simplices)))
     steps: list[tuple[int, Facet]] = []
@@ -282,7 +282,7 @@ def color(c: Complex, cert: PeelCertificate) -> Coloring:
     n = len(c.simplices)
     if sorted(i for i, _ in cert.steps) != list(range(n)):
         raise InputError("certificate does not cover the complex exactly once")
-    adjacency = build_dual(c).adjacency
+    adjacency = build_dual(c)
     d = c.dimension
     colors = [-1] * n
     for i, _witness in reversed(cert.steps):
@@ -310,8 +310,8 @@ def verify_coloring(c: Complex, col: Coloring):
     for i, k in enumerate(colors):
         if not 0 <= k <= d:
             violations.append(("color-range", i, k))
-    # Edge order, as DualGraph.edges() lists them.
-    conflicts = [(i, j) for i, nbrs in enumerate(build_dual(c).adjacency)
+    # Each edge once, as (i, j) with i < j, in order of i, then j.
+    conflicts = [(i, j) for i, nbrs in enumerate(build_dual(c))
                  for j in nbrs if i < j and colors[j] == colors[i]]
     # Each conflict names the facet the pair shares; two identical
     # simplices are listed once per facet, in increasing order.
@@ -339,9 +339,9 @@ class _Dsatur:
     stale entries pile up, so backtracking keeps it O(n + edges).
     """
 
-    def __init__(self, g: DualGraph):
-        n = g.node_count
-        self.neighbors = g.adjacency
+    def __init__(self, g: tuple[tuple[int, ...], ...]):
+        n = len(g)
+        self.neighbors = g
         self.colors = [-1] * n
         self.neighbor_colors: list[set[int]] = [set() for _ in range(n)]
         self._rebuild()
@@ -388,10 +388,10 @@ class _Dsatur:
             self._push(w)
 
 
-def _max_clique_size(g: DualGraph) -> int:
-    n = g.node_count
+def _max_clique_size(g: tuple[tuple[int, ...], ...]) -> int:
+    n = len(g)
     best = 1 if n else 0
-    nbrs = list(map(set, g.adjacency))
+    nbrs = list(map(set, g))
 
     def grow(current: int, candidates: set[int]):
         nonlocal best
@@ -410,13 +410,13 @@ def _max_clique_size(g: DualGraph) -> int:
     return best
 
 
-def _try_k_coloring(g: DualGraph, k: int):
+def _try_k_coloring(g: tuple[tuple[int, ...], ...], k: int):
     """A proper k-coloring, or None after exhausting the search tree.
 
     Depth-first over DSATUR picks with an explicit stack, so the depth is
     not bounded by the interpreter's recursion limit.  Colors are tried in
     increasing order, and a new color only right after those in use."""
-    n = g.node_count
+    n = len(g)
     if n == 0:
         return []
     if k <= 0:
@@ -442,14 +442,14 @@ def _try_k_coloring(g: DualGraph, k: int):
         start = col + 1
 
 
-def exact_chromatic(g: DualGraph, node_limit: int = 40) -> OracleResult:
+def exact_chromatic(g: tuple[tuple[int, ...], ...], node_limit: int = 40) -> OracleResult:
     """Exact chromatic number by branch and bound.
 
     Lower bound from a maximum clique, upper bound from greedy coloring;
     the minimum feasible k in between is found by exhaustive backtracking,
     and infeasibility of k-1 is certified the same way.
     """
-    n = g.node_count
+    n = len(g)
     if n > node_limit:
         raise InputError(
             f"graph has {n} nodes, above the oracle limit {node_limit}"

@@ -1,9 +1,10 @@
 """Facet-adjacency dual graph of a complex, degree statistics and cliques.
 
 Nodes are simplices; an edge joins two simplices exactly when they share d
-vertex indices (a whole facet).  Every node has degree at most d+1, which
-keeps clique search linear: a clique of size r must sit inside a closed
-neighborhood.
+vertex indices (a whole facet).  The graph is plain data: a tuple whose
+entry i holds node i's neighbors in increasing order (`Complex.dual`).
+Every node has degree at most d+1, which keeps clique search linear: a
+clique of size r must sit inside a closed neighborhood.
 """
 
 from __future__ import annotations
@@ -15,21 +16,6 @@ from operator import mul
 from .errors import InputError
 from .geometry import facet_normal
 from .model import Complex
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """adjacency[i] holds node i's neighbors in increasing order.  The
-    facet two neighbors share is the intersection of their vertex ids."""
-
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.adjacency)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs if i < j]
 
 
 @dataclass(frozen=True)
@@ -48,7 +34,7 @@ class CliqueReport:
     halfspace_condition_ok: bool
 
 
-def build_dual(c: Complex) -> DualGraph:
+def build_dual(c: Complex) -> tuple[tuple[int, ...], ...]:
     """Adjacency over shared facets; rejects facets owned by > 2 simplices.
 
     The graph is built once per complex and cached on it (Complex.dual), so
@@ -57,31 +43,15 @@ def build_dual(c: Complex) -> DualGraph:
     return c.dual
 
 
-def _facet_adjacency(c: Complex) -> DualGraph:
-    """Build the dual graph from c.facet_owners (the body of Complex.dual)."""
-    adjacency: list[list[int]] = [[] for _ in c.simplices]
-    for f, own in c.facet_owners.items():
-        if len(own) == 2:
-            i, j = own
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        elif len(own) > 2:
-            raise InputError(
-                f"invalid complex: facet {f} shared by {len(own)} simplices"
-            )
-    return DualGraph(tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
-
-
-def stats(g: DualGraph, d: int) -> GraphStats:
+def stats(g: tuple[tuple[int, ...], ...], d: int) -> GraphStats:
     """Degree and component counts plus the no-K_{d+2} chromatic bound.
 
     The bound floor((r-1)/r * (max_degree+2)) with r = d+2 applies only when
     4 <= r <= max_degree+1; outside that range the greedy bound
     max_degree+1 is reported instead.
     """
-    n = g.node_count
-    adjacency = g.adjacency
-    max_degree = max(map(len, adjacency), default=0)
+    n = len(g)
+    max_degree = max(map(len, g), default=0)
 
     components = 0
     seen = [False] * n
@@ -93,7 +63,7 @@ def stats(g: DualGraph, d: int) -> GraphStats:
         seen[start] = True
         while stack:
             v = stack.pop()
-            for w in adjacency[v]:
+            for w in g[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -106,11 +76,11 @@ def stats(g: DualGraph, d: int) -> GraphStats:
     return GraphStats(max_degree, components, upper, exclusion_bound)
 
 
-def _is_clique(g: DualGraph, nodes: tuple[int, ...]) -> bool:
-    return all(b in g.adjacency[a] for a, b in combinations(nodes, 2))
+def _is_clique(g: tuple[tuple[int, ...], ...], nodes: tuple[int, ...]) -> bool:
+    return all(b in g[a] for a, b in combinations(nodes, 2))
 
 
-def _cliques(g: DualGraph, r: int):
+def _cliques(g: tuple[tuple[int, ...], ...], r: int):
     """Every r-clique as a sorted node list, in increasing order.
 
     Degrees are bounded by d+1, so every r-clique lies inside the closed
@@ -118,19 +88,19 @@ def _cliques(g: DualGraph, r: int):
     """
     if r < 2:
         raise InputError(f"clique size must be >= 2, got {r}")
-    for v, nbrs in enumerate(g.adjacency):
+    for v, nbrs in enumerate(g):
         above = [u for u in nbrs if u > v]
         for rest in combinations(above, r - 1):
             if _is_clique(g, rest):
                 yield [v] + list(rest)
 
 
-def find_clique(g: DualGraph, r: int):
+def find_clique(g: tuple[tuple[int, ...], ...], r: int):
     """Some r-clique as a sorted node list, or None."""
     return next(_cliques(g, r), None)
 
 
-def find_all_cliques(g: DualGraph, r: int) -> list[list[int]]:
+def find_all_cliques(g: tuple[tuple[int, ...], ...], r: int) -> list[list[int]]:
     """Every r-clique, each reported once (sorted by its node list)."""
     return list(_cliques(g, r))
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .errors import InputError, InvariantError
-from .geometry import Point
 from .model import Complex, Simplex
 
 FAN = "fan"
@@ -159,7 +158,7 @@ def _ring(d: int, k: int) -> Complex:
         tuple([0] * (d - 2) + [cx, sx])
         for cx, sx in _ring_directions(k)
     ]
-    vertices = tuple(Point(p) for p in hinge + ring)
+    vertices = hinge + ring
     nh = len(hinge)
     hinge_ids = tuple(range(nh))
     simplices = tuple(
@@ -178,7 +177,7 @@ def _tri_tiling(m: int) -> Complex:
         return j * (m + 1) + i
 
     vertices = tuple(
-        Point((i + Fraction(j, 2), j))
+        (i + Fraction(j, 2), j)
         for j in range(m + 1)
         for i in range(m + 1)
     )
@@ -204,9 +203,7 @@ def _freudenthal(d: int, m: int) -> Complex:
             acc = acc * side + c
         return acc
 
-    vertices = tuple(
-        Point(coords) for coords in product(range(side), repeat=d)
-    )
+    vertices = tuple(product(range(side), repeat=d))
     simplices = []
     for corner in product(range(m), repeat=d):
         for perm in permutations(range(d)):
@@ -229,11 +226,10 @@ def _path(d: int, n: int) -> Complex:
         step = list(walk[-1])
         step[j % d] += 1
         walk.append(tuple(step))
-    vertices = tuple(Point(p) for p in walk)
     simplices = tuple(
         Simplex(tuple(range(j, j + d + 1))) for j in range(n)
     )
-    return Complex(d, vertices, simplices)
+    return Complex(d, walk, simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +241,10 @@ def _boundary_abstract(d: int) -> Complex:
     for j in range(d):
         pts.append(tuple(1 if i == j else 0 for i in range(d)))
     pts.append(tuple(Fraction(1, d + 1) for _ in range(d)))
-    vertices = tuple(Point(p) for p in pts)
     simplices = tuple(
         Simplex(ids) for ids in combinations(range(d + 2), d + 1)
     )
-    return Complex(d, vertices, simplices)
+    return Complex(d, pts, simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +393,7 @@ def _delaunay2d(n: int, seed: int) -> Complex:
         raise InputError("degenerate point set: no triangle survives")
     used = sorted({v for ids in real for v in ids})
     remap = {v: i for i, v in enumerate(used)}
-    vertices = tuple(Point(tri.points[v]) for v in used)
+    vertices = tuple(tri.points[v] for v in used)
     simplices = tuple(
         Simplex(tuple(sorted(remap[v] for v in ids))) for ids in sorted(real)
     )

@@ -1,10 +1,11 @@
 """Exact geometric predicates over rational coordinates.
 
-Coordinates are arbitrary-precision rationals: a `Point` stores each
-integral coordinate as a plain `int` and every other one as a
-`fractions.Fraction`.  Every predicate returns an exact answer: there are
-no epsilons and no floats, and results are invariant under uniform
-positive rational scaling of the input coordinates.
+Coordinates are arbitrary-precision rationals: a point is a tuple of its
+coordinates, each integral one a plain `int` and every other one a
+`fractions.Fraction`, as `Complex.vertices` holds them.  Every predicate
+returns an exact answer: there are no epsilons and no floats, and results
+are invariant under uniform positive rational scaling of the input
+coordinates.
 
 All predicate arithmetic is on `int`, over homogeneous rows: a point p
 becomes (p·q, q), q > 0 the LCM of p's own denominators, and
@@ -22,7 +23,8 @@ their own directions (`_quotient`) into fraction-free linear feasibility,
 `_cone_nonzero`, which strict validation (`model._interiors_overlap`) also
 asks for hyperplanes that separate two simplices, in any dimension.
 `orientation`, `side_of`, `extreme_point` and `supporting_hyperplane` are
-thin wrappers that check and take rational `Point`s.
+thin wrappers that check and take points as coordinate sequences, in any
+form `rational` reads, and normalise them as `Complex` does.
 """
 
 from __future__ import annotations
@@ -63,35 +65,14 @@ def rational(value) -> Fraction:
     raise InputError(f"cannot interpret {shorten(repr(value))} as a rational number")
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point in R^d with exact rational coordinates: each integral one a
-    plain `int`, every other one a reduced `Fraction`.  Equal points compare
-    and hash alike, whatever form their coordinates were given in."""
-
-    coords: Vec
-
-    def __post_init__(self):
-        coords = self.coords
-        if type(coords) is not tuple:
-            coords = tuple(coords)
-        if not {int}.issuperset(map(type, coords)):
-            coords = tuple(x.numerator if x.denominator == 1 else x for x in map(rational, coords))
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
-def point(*coords) -> Point:
-    return Point(coords)
+def _exact(row) -> tuple:
+    """A point's coordinates as a tuple, each integral one a plain `int` and
+    every other one a reduced `Fraction`, whatever form each was given in."""
+    if type(row) is not tuple:
+        row = tuple(row)
+    if {int}.issuperset(map(type, row)):
+        return row
+    return tuple(x.numerator if x.denominator == 1 else x for x in map(rational, row))
 
 
 @dataclass(frozen=True)
@@ -158,7 +139,7 @@ def _bareiss(m) -> int:
     return sign * m[-1][-1]
 
 
-def orientation(points: list[Point], dim: int) -> int:
+def orientation(points: list[Vec], dim: int) -> int:
     """Sign of the determinant of the affine configuration of dim+1 points,
     from their homogeneous rows.
 
@@ -167,9 +148,9 @@ def orientation(points: list[Point], dim: int) -> int:
     if len(points) != dim + 1:
         raise InputError(f"orientation in dimension {dim} needs {dim + 1} points, got {len(points)}")
     for p in points:
-        if p.dim != dim:
-            raise InputError(f"point of dimension {p.dim} in orientation of dimension {dim}")
-    return homogeneous_orientation([homogeneous_row(p.coords) for p in points])
+        if len(p) != dim:
+            raise InputError(f"point of dimension {len(p)} in orientation of dimension {dim}")
+    return homogeneous_orientation([homogeneous_row(_exact(p)) for p in points])
 
 
 def homogeneous_orientation(rows) -> int:
@@ -184,14 +165,14 @@ def homogeneous_orientation(rows) -> int:
     return _sign(_bareiss([[x * q - b * r[-1] for x, b in zip(r, base)] for r in rows[1:]]))
 
 
-def side_of(h: Hyperplane, p: Point) -> int:
+def side_of(h: Hyperplane, p: Vec) -> int:
     """Sign of normal . p - offset: +1, 0 (on the plane) or -1."""
-    if p.dim != h.dim:
-        raise InputError(f"point dimension {p.dim} does not match hyperplane dimension {h.dim}")
-    return _sign(sum(map(mul, h.normal, p.coords)) - h.offset)
+    if len(p) != h.dim:
+        raise InputError(f"point dimension {len(p)} does not match hyperplane dimension {h.dim}")
+    return _sign(sum(map(mul, h.normal, _exact(p))) - h.offset)
 
 
-def extreme_point(cloud: list[Point]) -> int:
+def extreme_point(cloud: list[Vec]) -> int:
     """Index of the lexicographically minimal point, the first on ties.
 
     The lexicographic minimum is always a vertex of the convex hull, which
@@ -199,7 +180,7 @@ def extreme_point(cloud: list[Point]) -> int:
     """
     if not cloud:
         raise InputError("extreme_point of an empty cloud")
-    return min(range(len(cloud)), key=lambda i: cloud[i].coords)
+    return min(range(len(cloud)), key=lambda i: _exact(cloud[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +377,7 @@ def _cone_nonzero(zs, m: int):
     return None
 
 
-def supporting_hyperplane(face_vertices: list[Point], cloud: list[Point]):
+def supporting_hyperplane(face_vertices: list[Vec], cloud: list[Vec]):
     """Hyperplane through all face vertices with the cloud on one closed side.
 
     Returns None when no such hyperplane exists.  Existence is equivalent to
@@ -412,17 +393,18 @@ def supporting_hyperplane(face_vertices: list[Point], cloud: list[Point]):
         raise InputError("supporting_hyperplane of an empty cloud")
     if not face_vertices:
         raise InputError("supporting_hyperplane needs at least one face vertex")
-    d = cloud[0].dim
-    for p in list(face_vertices) + list(cloud):
-        if p.dim != d:
+    face_vertices, cloud = list(map(_exact, face_vertices)), list(map(_exact, cloud))
+    d = len(cloud[0])
+    for p in face_vertices + cloud:
+        if len(p) != d:
             raise InputError("mixed dimensions in supporting_hyperplane input")
-    cloud_set = {p.coords for p in cloud}
+    cloud_set = set(cloud)
     for p in face_vertices:
-        if p.coords not in cloud_set:
+        if p not in cloud_set:
             raise InputError("face vertex not present in cloud")
 
-    h = hull_normal([homogeneous_row(p.coords) for p in face_vertices],
-                    [homogeneous_row(p.coords) for p in cloud])
+    h = hull_normal([homogeneous_row(p) for p in face_vertices],
+                    [homogeneous_row(p) for p in cloud])
     if h is None:
         return None
     h = _primitive(h)

@@ -18,17 +18,10 @@ from functools import cached_property, cmp_to_key
 from itertools import combinations, product
 from math import prod
 from operator import ge, lt, mul
-from typing import TYPE_CHECKING
 
 from .errors import InputError, shorten
-from .geometry import (Point, _cone_nonzero, _quotient, facet_normal, homogeneous_orientation,
+from .geometry import (_cone_nonzero, _exact, _quotient, facet_normal, homogeneous_orientation,
                        homogeneous_row, rational)
-
-if TYPE_CHECKING:
-    from .dual import DualGraph
-
-JSON_FORMAT = "json"
-OFF_FORMAT = "off"
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC_STRICT = "geometric-strict"
@@ -89,25 +82,35 @@ class Facet(Simplex):
 
 @dataclass(frozen=True)
 class Complex:
-    """A pure d-simplex complex: vertex table plus top-dimensional simplices."""
+    """A pure d-simplex complex: vertex table plus top-dimensional simplices.
+
+    Each vertex is the tuple of its coordinates, normalised on the way in:
+    an integral coordinate is a plain `int` and every other one a reduced
+    `Fraction`, so equal points compare and hash alike whatever form their
+    coordinates were given in.  A simplex given as a sequence of ids becomes
+    a `Simplex`."""
 
     dimension: int
-    vertices: tuple[Point, ...]
+    vertices: tuple[tuple, ...]
     simplices: tuple[Simplex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self,
-            "simplices",
-            tuple(s if isinstance(s, Simplex) else Simplex(tuple(s)) for s in self.simplices),
-        )
+        object.__setattr__(self, "vertices", tuple(map(_exact, self.vertices)))
+        simplices = []
+        for i, s in enumerate(self.simplices):
+            if not isinstance(s, Simplex):
+                try:
+                    s = Simplex(tuple(s))
+                except InputError as exc:
+                    raise InputError(f"simplex {i}: {exc}") from exc
+            simplices.append(s)
+        object.__setattr__(self, "simplices", tuple(simplices))
         d = self.dimension
         if d < 1:
             raise InputError(f"dimension must be >= 1, got {d}")
         for i, p in enumerate(self.vertices):
-            if p.dim != d:
-                raise InputError(f"vertex {i} has dimension {p.dim}, expected {d}")
+            if len(p) != d:
+                raise InputError(f"vertex {i} has dimension {len(p)}, expected {d}")
         n = len(self.vertices)
         for i, s in enumerate(self.simplices):
             if len(s.vertex_ids) != d + 1:
@@ -154,15 +157,25 @@ class Complex:
         vertex's own denominators: the rows validation's degeneracy check,
         the geometric peel's hull test and the halfspace check read.  Built
         on first use and shared like facet_owners."""
-        return tuple(homogeneous_row(p.coords) for p in self.vertices)
+        return tuple(map(homogeneous_row, self.vertices))
 
     @cached_property
-    def dual(self) -> DualGraph:
-        """The facet-adjacency graph that `dual.build_dual` returns, built
-        on first use and shared like facet_owners.  An overglued facet
-        raises InputError on every access: a failed build is not cached."""
-        from .dual import _facet_adjacency  # dual imports this module
-        return _facet_adjacency(self)
+    def dual(self) -> tuple[tuple[int, ...], ...]:
+        """The facet-adjacency dual graph that `dual.build_dual` returns:
+        entry i holds simplex i's neighbors in increasing order, and the
+        facet two neighbors share is the intersection of their vertex ids.
+        Built from facet_owners on first use and shared like it.  An
+        overglued facet raises InputError on every access: a failed build
+        is not cached."""
+        adjacency: list[list[int]] = [[] for _ in self.simplices]
+        for f, own in self.facet_owners.items():
+            if len(own) == 2:
+                i, j = own
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+            elif len(own) > 2:
+                raise InputError(f"invalid complex: facet {f} shared by {len(own)} simplices")
+        return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,7 @@ def _axis_ranks(c: Complex) -> list[list[int]]:
     distinct values on that axis.  The map is order-preserving per axis, so
     box comparisons on ranks decide exactly as they would on the rationals."""
     columns = []
-    for values in zip(*(p.coords for p in c.vertices)):
+    for values in zip(*c.vertices):
         rank = {v: r for r, v in enumerate(sorted(set(values)))}
         columns.append(list(map(rank.__getitem__, values)))
     return columns
@@ -497,14 +510,14 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
 
 
 def _coord_to_json(x):
-    """A `Point` coordinate as JSON: an int as itself, a Fraction as "p/q"."""
+    """A vertex coordinate as JSON: an int as itself, a Fraction as "p/q"."""
     return x if type(x) is int else f"{x.numerator}/{x.denominator}"
 
 
 def complex_to_dict(c: Complex) -> dict:
     return {
         "dimension": c.dimension,
-        "vertices": [list(map(_coord_to_json, p.coords)) for p in c.vertices],
+        "vertices": [list(map(_coord_to_json, p)) for p in c.vertices],
         "simplices": [list(s.vertex_ids) for s in c.simplices],
     }
 
@@ -527,16 +540,9 @@ def complex_from_dict(data: dict) -> Complex:
     if any(isinstance(x, bool) for row in vertex_rows for x in row):
         raise InputError("a vertex coordinate is a boolean, not a number")
     try:
-        vertices = tuple(Point(row) for row in vertex_rows)
+        return Complex(d, vertex_rows, simplex_rows)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad complex JSON: {shorten(str(exc))}") from exc
-    simplices = []
-    for k, row in enumerate(simplex_rows):
-        try:
-            simplices.append(Simplex(tuple(row)))
-        except InputError as exc:
-            raise InputError(f"simplex {k}: {exc}") from exc
-    return Complex(d, vertices, tuple(simplices))
 
 
 def coloring_to_dict(col: Coloring) -> dict:
@@ -583,10 +589,6 @@ def _read_json(path: str):
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc
-
-
-def _load_json(path: str) -> Complex:
-    return complex_from_dict(_read_json(path))
 
 
 def _write_json(path: str, data) -> None:
@@ -640,7 +642,7 @@ def _load_off(path: str) -> Complex:
             if coords[2] != 0:
                 raise InputError(f"{path}:{lineno}: nonplanar vertex (z != 0); only planar triangle meshes are supported")
             coords = coords[:2]
-        vertices.append(Point(tuple(coords)))
+        vertices.append(coords)
     simplices = []
     for lineno, ln in body[nv:nv + nf]:
         tokens = ln.split()
@@ -656,7 +658,7 @@ def _load_off(path: str) -> Complex:
         if len(set(ids)) != 3:
             raise InputError(f"{path}:{lineno}: face repeats a vertex")
         simplices.append(Simplex(tuple(sorted(ids))))
-    return Complex(2, tuple(vertices), tuple(simplices))
+    return Complex(2, vertices, simplices)
 
 
 def _save_off(c: Complex, path: str) -> None:
@@ -671,21 +673,18 @@ def _save_off(c: Complex, path: str) -> None:
             fh.write("3 " + " ".join(str(i) for i in s.vertex_ids) + "\n")
 
 
-def load(path: str, format: str = JSON_FORMAT) -> Complex:
-    readers = {JSON_FORMAT: _load_json, OFF_FORMAT: _load_off}
-    if format not in readers:
-        raise InputError(f"unknown format {format!r}")
+def load(path: str) -> Complex:
+    """Read a complex: OFF when the path ends in .off (any case), JSON otherwise."""
     with _naming(path):
-        return readers[format](path)
+        return _load_off(path) if path.lower().endswith(".off") else complex_from_dict(_read_json(path))
 
 
-def save(c: Complex, path: str, format: str = JSON_FORMAT) -> None:
-    if format == JSON_FORMAT:
-        _write_json(path, complex_to_dict(c))
-    elif format == OFF_FORMAT:
+def save(c: Complex, path: str) -> None:
+    """Write a complex: OFF when the path ends in .off (any case), JSON otherwise."""
+    if path.lower().endswith(".off"):
         _save_off(c, path)
     else:
-        raise InputError(f"unknown format {format!r}")
+        _write_json(path, complex_to_dict(c))
 
 
 def save_coloring(col: Coloring, path: str) -> None:

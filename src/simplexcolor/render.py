@@ -72,7 +72,7 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
                     f"has color index {k}"
                 )
 
-    xs, ys = [p.coords[0] for p in c.vertices], [p.coords[1] for p in c.vertices]
+    xs, ys = [p[0] for p in c.vertices], [p[1] for p in c.vertices]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span_x = hi_x - lo_x or Fraction(1)
@@ -113,12 +113,14 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
             cden = 3 * den * q
             centroids.append((_fixed3(xa * ka + xb * kb + xc * kc, cden),
                               _fixed3(ya * ka + yb * kb + yc * kc, cden)))
-        for i, j in dual.edges():
-            (x1, y1), (x2, y2) = centroids[i], centroids[j]
-            lines.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                f'stroke="#000000" stroke-width="1.5"/>'
-            )
+        for i, nbrs in enumerate(dual):
+            for j in nbrs:
+                if i < j:
+                    (x1, y1), (x2, y2) = centroids[i], centroids[j]
+                    lines.append(
+                        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                        f'stroke="#000000" stroke-width="1.5"/>'
+                    )
         for x, y in centroids:
             lines.append(f'<circle cx="{x}" cy="{y}" r="3.5" fill="#000000"/>')
     lines.append("</svg>")

@@ -43,7 +43,6 @@ from simplexcolor.generators import (
     GeneratorSpec,
     generate,
 )
-from simplexcolor.geometry import point
 from simplexcolor.model import (
     GEOMETRIC_STRICT,
     Complex,
@@ -63,11 +62,11 @@ DELAUNAY_SEEDS = 50
 
 def four_tetrahedra_k4():
     verts = (
-        point(Fraction(1, 4), Fraction(1, 4), 1),
-        point(0, 0, 0),
-        point(1, 0, 0),
-        point(0, 1, 0),
-        point(Fraction(1, 4), Fraction(1, 4), 2),
+        (Fraction(1, 4), Fraction(1, 4), 1),
+        (0, 0, 0),
+        (1, 0, 0),
+        (0, 1, 0),
+        (Fraction(1, 4), Fraction(1, 4), 2),
     )
     return Complex(
         3, verts,
@@ -87,7 +86,7 @@ def pinwheel():
         Simplex((0, 1, 3, 4)), Simplex((0, 2, 3, 4)),
         Simplex((0, 5, 6, 7)), Simplex((0, 8, 9, 10)), Simplex((0, 11, 12, 13)),
     )
-    return Complex(3, tuple(point(*p) for p in pts), simplices)
+    return Complex(3, pts, simplices)
 
 
 def _build_corpus():
@@ -413,7 +412,7 @@ def test_criterion_7_closed_fan_parity():
     for n in range(3, 15):
         c = generate(GeneratorSpec(CLOSED_FAN, 2, n))
         g = build_dual(c)
-        edges = g.edges()
+        edges = [(i, j) for i, nbrs in enumerate(g) for j in nbrs if i < j]
         two_colorable = any(
             all(a[i] != a[j] for i, j in edges)
             for a in product((0, 1), repeat=n)

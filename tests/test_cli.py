@@ -310,8 +310,7 @@ class TestErrorBoundary:
         before = sorted(tmp_path.iterdir())
         assert run(*(a.format(**fill) for a in argv)) == 2
         assert capsys.readouterr().err == f"error: {named.format(**fill)}\n"
-        if "--certificate" not in argv:  # there the coloring is written first
-            assert sorted(tmp_path.iterdir()) == before
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("argv, named", [
         (["color", "{fan}", "-o", "{tmp}/same.json", "--certificate", "{tmp}/same.json"],
@@ -473,6 +472,17 @@ class TestRender:
                    "-o", str(svg_path)) == 2
         assert "must be non-empty and free of" in capsys.readouterr().err
         assert not svg_path.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--width", "0", "render width must be positive, got 0"),
+        ("--height", "-10", "render height must be positive, got -10"),
+        ("--palette", 'a"b,blue,green', """palette entry 'a"b' must be non-empty and free of " < > &"""),
+    ])
+    def test_option_error_names_the_option(self, fan_file, tmp_path, capsys, option, value, message):
+        before = sorted(tmp_path.iterdir())
+        assert run("render", fan_file, option, value, "-o", str(tmp_path / "x.svg")) == 2
+        assert capsys.readouterr().err == f"error: {option}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_palette_too_small(self, fan_file, tmp_path):
         col_path = str(tmp_path / "c.json")

@@ -2,9 +2,9 @@
 
 Each example writes one input complex (JSON or OFF), optionally a
 coloring, runs one command on them, and checks the CLI's contract: the
-exit code is 0, 2, 3 or 4, no exception escapes, and every exit-2 or
-exit-3 message is one bounded line that starts with ``error: `` and a
-file named on the command line.
+exit code is 0, 2, 3 or 4, no exception escapes, a non-zero exit adds no
+file, and every exit-2 or exit-3 message is one bounded line that starts
+with ``error: `` and a file named on the command line.
 """
 
 import copy
@@ -118,7 +118,7 @@ def test_mutated_inputs_end_in_a_named_exit(data):
     with tempfile.TemporaryDirectory() as work:
         if c.dimension == 2 and data.draw(st.booleans()):
             input_path = os.path.join(work, "in.off")
-            save(c, input_path, format="off")
+            save(c, input_path)
             with open(input_path, encoding="utf-8") as fh:
                 text = fh.read()
             if data.draw(st.booleans()):
@@ -140,9 +140,12 @@ def test_mutated_inputs_end_in_a_named_exit(data):
 
         fill = {"input": input_path, "coloring": coloring_path, "dir": work}
         argv = [a.format(**fill) for a in argv_template]
+        before = sorted(os.listdir(work))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
+        if code:
+            assert sorted(os.listdir(work)) == before, (argv, code)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     message = err.getvalue()
     if code in (2, 3):

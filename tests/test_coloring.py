@@ -22,10 +22,9 @@ from simplexcolor.coloring import (
     peel,
     verify_coloring,
 )
-from simplexcolor.dual import DualGraph, build_dual
+from simplexcolor.dual import build_dual
 from simplexcolor.errors import InputError, UnrealizableComplexError
 from simplexcolor.generators import GeneratorSpec, generate
-from simplexcolor.geometry import point
 from simplexcolor.model import (
     GEOMETRIC_STRICT,
     Coloring,
@@ -37,23 +36,23 @@ from simplexcolor.model import (
 
 
 def unit_triangle():
-    return Complex(2, (point(0, 0), point(1, 0), point(0, 1)), (Simplex((0, 1, 2)),))
+    return Complex(2, ((0, 0), (1, 0), (0, 1)), (Simplex((0, 1, 2)),))
 
 
 def two_glued():
-    verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1))
+    verts = ((0, 0), (1, 0), (0, 1), (1, 1))
     return Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3))))
 
 
 def fan_k3():
-    verts = (point(0, 0), point(2, 0), point(-1, 2), point(-1, -2))
+    verts = ((0, 0), (2, 0), (-1, 2), (-1, -2))
     return Complex(2, verts, (Simplex((0, 1, 2)), Simplex((0, 2, 3)), Simplex((0, 1, 3))))
 
 
 def closed_fan(ring):
     """Triangles fully surrounding the origin; ring = star-shaped points."""
     n = len(ring)
-    verts = (point(0, 0),) + tuple(point(x, y) for x, y in ring)
+    verts = ((0, 0),) + tuple((x, y) for x, y in ring)
     simplices = tuple(
         Simplex(tuple(sorted((0, 1 + i, 1 + (i + 1) % n)))) for i in range(n)
     )
@@ -69,7 +68,7 @@ def triangle_strip(n):
     verts = []
     x = [0, 0]
     for j in range(n + 2):
-        verts.append(point(*x))
+        verts.append(tuple(x))
         x = list(x)
         x[j % 2] += 1
     simplices = tuple(Simplex((j, j + 1, j + 2)) for j in range(n))
@@ -77,7 +76,7 @@ def triangle_strip(n):
 
 
 def tetra_boundary_in_plane():
-    verts = (point(0, 0), point(4, 0), point(0, 4), point(1, 1))
+    verts = ((0, 0), (4, 0), (0, 4), (1, 1))
     return Complex(
         2, verts,
         tuple(Simplex(ids) for ids in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
@@ -86,11 +85,11 @@ def tetra_boundary_in_plane():
 
 def four_tetrahedra_k4():
     verts = (
-        point(Fraction(1, 4), Fraction(1, 4), 1),
-        point(0, 0, 0),
-        point(1, 0, 0),
-        point(0, 1, 0),
-        point(Fraction(1, 4), Fraction(1, 4), 2),
+        (Fraction(1, 4), Fraction(1, 4), 1),
+        (0, 0, 0),
+        (1, 0, 0),
+        (0, 1, 0),
+        (Fraction(1, 4), Fraction(1, 4), 2),
     )
     return Complex(
         3, verts,
@@ -117,15 +116,15 @@ def pinwheel():
         Simplex((0, 8, 9, 10)),
         Simplex((0, 11, 12, 13)),
     )
-    return Complex(3, tuple(point(*p) for p in pts), simplices)
+    return Complex(3, pts, simplices)
 
 
 def brute_chromatic(g, max_k=6):
     """Exhaustive chromatic number for tiny graphs: try every assignment."""
-    n = g.node_count
+    n = len(g)
     if n == 0:
         return 0
-    edges = g.edges()
+    edges = [(i, j) for i, nbrs in enumerate(g) for j in nbrs if i < j]
     for k in range(1, max_k + 1):
         for assignment in product(range(k), repeat=n):
             if all(assignment[i] != assignment[j] for i, j in edges):
@@ -193,8 +192,8 @@ class TestFindExposedGeometric:
         # Hull vertex whose star edges are not on the global hull; the
         # returned simplex is an angular extreme of the star.
         verts = (
-            point(0, 0), point(1, -1), point(3, 0), point(1, 1),
-            point(1, -10), point(10, -10), point(10, 10),
+            (0, 0), (1, -1), (3, 0), (1, 1),
+            (1, -10), (10, -10), (10, 10),
         )
         c = Complex(
             2, verts,
@@ -262,7 +261,7 @@ class TestPeel:
     def test_overglued_facet_rejected(self, method):
         # The edge (1, 2) is in three triangles.  The geometric descent
         # alone would peel this complex; peel rejects it before any finder.
-        verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1), point(-1, -1))
+        verts = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, -1))
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3)), Simplex((1, 2, 4))))
         with pytest.raises(InputError, match=r"^invalid complex: facet \(1, 2\) shared by 3 simplices$"):
             peel(c, method)
@@ -412,8 +411,9 @@ class TestExactChromatic:
     def test_optimal_coloring_is_proper(self):
         g = build_dual(closed_fan(RING5))
         res = exact_chromatic(g)
-        for i, j in g.edges():
-            assert res.optimal_coloring.colors[i] != res.optimal_coloring.colors[j]
+        for i, nbrs in enumerate(g):
+            for j in nbrs:
+                assert res.optimal_coloring.colors[i] != res.optimal_coloring.colors[j]
         assert len(set(res.optimal_coloring.colors)) == res.chromatic_number
 
     def test_node_limit_refusal(self):
@@ -440,26 +440,26 @@ class TestExactChromatic:
 
 def _ref_dsatur_pick(g, colors, neighbor_colors):
     return max(
-        (v for v in range(g.node_count) if colors[v] < 0),
-        key=lambda v: (len(neighbor_colors[v]), len(g.adjacency[v]), -v),
+        (v for v in range(len(g)) if colors[v] < 0),
+        key=lambda v: (len(neighbor_colors[v]), len(g[v]), -v),
     )
 
 
 def _ref_greedy_dsatur(g):
-    n = g.node_count
+    n = len(g)
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
     for _ in range(n):
         best = _ref_dsatur_pick(g, colors, neighbor_colors)
         chosen = next(k for k in range(n + 1) if k not in neighbor_colors[best])
         colors[best] = chosen
-        for w in g.adjacency[best]:
+        for w in g[best]:
             neighbor_colors[w].add(chosen)
     return colors
 
 
 def _ref_try_k_coloring(g, k):
-    n = g.node_count
+    n = len(g)
     if n == 0:
         return []
     if k <= 0:
@@ -474,7 +474,7 @@ def _ref_try_k_coloring(g, k):
         if col is not None:
             colors[v] = col
             delta = []
-            for w in g.adjacency[v]:
+            for w in g[v]:
                 if col not in neighbor_colors[w]:
                     neighbor_colors[w].add(col)
                     delta.append(w)
@@ -493,7 +493,7 @@ def _ref_try_k_coloring(g, k):
 
 
 def _ref_exact_chromatic(g):
-    n = g.node_count
+    n = len(g)
     if n == 0:
         return OracleResult(0, Coloring(()))
     best = _ref_greedy_dsatur(g)
@@ -523,7 +523,7 @@ def random_graph(rng):
     for i, j in {(min(e), max(e)) for e in edges}:
         adjacency[i].append(j)
         adjacency[j].append(i)
-    return DualGraph(tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+    return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
 
 def test_dsatur_heap_matches_scan_reference(monkeypatch):
@@ -547,7 +547,7 @@ def test_dsatur_heap_matches_scan_reference(monkeypatch):
     outcomes = set()
     for _ in range(450):
         g = random_graph(rng)
-        assert _try_k_coloring(g, g.node_count) == _ref_greedy_dsatur(g), g
+        assert _try_k_coloring(g, len(g)) == _ref_greedy_dsatur(g), g
         for k in range(6):
             got = _try_k_coloring(g, k)
             assert got == _ref_try_k_coloring(g, k), (g, k)

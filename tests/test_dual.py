@@ -1,11 +1,10 @@
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from simplexcolor.errors import InputError
-from simplexcolor.geometry import Hyperplane, point, side_of
+from simplexcolor.geometry import Hyperplane, side_of
 from simplexcolor.dual import (
     analyze_max_clique_configuration,
     build_dual,
@@ -19,16 +18,16 @@ from simplexcolor.render import RenderOptions, render_svg
 
 
 def unit_triangle():
-    return Complex(2, (point(0, 0), point(1, 0), point(0, 1)), (Simplex((0, 1, 2)),))
+    return Complex(2, ((0, 0), (1, 0), (0, 1)), (Simplex((0, 1, 2)),))
 
 
 def fan_k3():
-    verts = (point(0, 0), point(2, 0), point(-1, 2), point(-1, -2))
+    verts = ((0, 0), (2, 0), (-1, 2), (-1, -2))
     return Complex(2, verts, (Simplex((0, 1, 2)), Simplex((0, 2, 3)), Simplex((0, 1, 3))))
 
 
 def tetra_boundary_in_plane():
-    verts = (point(0, 0), point(4, 0), point(0, 4), point(1, 1))
+    verts = ((0, 0), (4, 0), (0, 4), (1, 1))
     return Complex(
         2, verts,
         tuple(Simplex(ids) for ids in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))),
@@ -38,8 +37,8 @@ def tetra_boundary_in_plane():
 def four_simplex_boundary_in_space():
     # All five 4-subsets of five points: abstract, dual K_5, degree 4.
     verts = (
-        point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(0, 0, 1),
-        point(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
     )
     return Complex(
         3, verts,
@@ -59,7 +58,7 @@ def freudenthal_unit_cube():
             prev[axis] += 1
             walk.append(tuple(prev))
         simplices.append(Simplex(tuple(sorted(index[c] for c in walk))))
-    verts = tuple(point(*c) for c in corners)
+    verts = corners
     return Complex(3, verts, tuple(simplices))
 
 
@@ -67,11 +66,11 @@ def four_tetrahedra_k4(fifth_z=2):
     """Four tetrahedra whose dual is K_4: base tet plus three around the
     segment from the apex to a fifth point, by default above it."""
     verts = (
-        point(Fraction(1, 4), Fraction(1, 4), 1),   # apex
-        point(0, 0, 0),
-        point(1, 0, 0),
-        point(0, 1, 0),
-        point(Fraction(1, 4), Fraction(1, 4), fifth_z),
+        (Fraction(1, 4), Fraction(1, 4), 1),   # apex
+        (0, 0, 0),
+        (1, 0, 0),
+        (0, 1, 0),
+        (Fraction(1, 4), Fraction(1, 4), fifth_z),
     )
     simplices = tuple(
         Simplex(ids) for ids in ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4))
@@ -82,13 +81,13 @@ def four_tetrahedra_k4(fifth_z=2):
 class TestBuildDual:
     def test_single_simplex(self):
         g = build_dual(unit_triangle())
-        assert g.node_count == 1
-        assert g.adjacency == ((),)
+        assert len(g) == 1
+        assert g == ((),)
 
     def test_fan_is_k3(self):
         g = build_dual(fan_k3())
-        assert g.node_count == 3
-        assert all(len(g.adjacency[i]) == 2 for i in range(3))
+        assert len(g) == 3
+        assert all(len(g[i]) == 2 for i in range(3))
         assert find_clique(g, 3) == [0, 1, 2]
 
     def test_freudenthal_cube_matches_brute_force(self):
@@ -99,30 +98,29 @@ class TestBuildDual:
             shared = set(c.simplices[i].vertex_ids) & set(c.simplices[j].vertex_ids)
             if len(shared) == 3:
                 expected.add((i, j))
-        got = set(g.edges())
+        got = set(_edges(g))
         assert got == expected
         assert len(got) == 6  # a 6-cycle around the main diagonal
-        assert all(len(g.adjacency[i]) == 2 for i in range(6))
+        assert all(len(g[i]) == 2 for i in range(6))
 
     def test_edges_join_simplices_sharing_a_facet(self):
         for c in (fan_k3(), freudenthal_unit_cube(), four_tetrahedra_k4()):
             g = build_dual(c)
-            assert g.edges()
-            for i, j in g.edges():
+            assert _edges(g)
+            for i, j in _edges(g):
                 a = set(c.simplices[i].vertex_ids)
                 b = set(c.simplices[j].vertex_ids)
                 assert i < j and len(a & b) == c.dimension
 
     def test_graph_holds_neighbor_ids_only(self):
         g = build_dual(freudenthal_unit_cube())
-        assert [f.name for f in fields(g)] == ["adjacency"]
-        assert g.node_count == len(g.adjacency) == 6
-        for nbrs in g.adjacency:
+        assert type(g) is tuple and len(g) == 6
+        for nbrs in g:
             assert type(nbrs) is tuple and list(nbrs) == sorted(nbrs)
             assert all(type(j) is int for j in nbrs)
 
     def test_overglued_rejected(self):
-        verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1), point(-1, -1))
+        verts = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, -1))
         c = Complex(
             2, verts,
             (Simplex((0, 1, 2)), Simplex((1, 2, 3)), Simplex((1, 2, 4))),
@@ -162,9 +160,9 @@ class TestBuildDual:
             # relabel g2's edges back through the permutation
             back = {new: old for new, old in enumerate(perm)}
             remapped = {
-                tuple(sorted((back[i], back[j]))) for i, j in g2.edges()
+                tuple(sorted((back[i], back[j]))) for i, j in _edges(g2)
             }
-            original = set(g1.edges())
+            original = set(_edges(g1))
             assert remapped == original
 
 
@@ -192,8 +190,8 @@ class TestStats:
 
     def test_component_count(self):
         verts = (
-            point(0, 0), point(1, 0), point(0, 1),
-            point(5, 5), point(6, 5), point(5, 6),
+            (0, 0), (1, 0), (0, 1),
+            (5, 5), (6, 5), (5, 6),
         )
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((3, 4, 5))))
         assert stats(build_dual(c), 2).component_count == 2
@@ -259,7 +257,7 @@ class TestAnalyzeKd1:
         # Same labels as the K_3 fan but the third outer point pulled inside
         # the wedge: combinatorially a clique, geometrically overlapping,
         # and the side condition fails.
-        verts = (point(0, 0), point(2, 0), point(-1, 2), point(1, 1))
+        verts = ((0, 0), (2, 0), (-1, 2), (1, 1))
         c = Complex(
             2, verts,
             (Simplex((0, 1, 2)), Simplex((0, 2, 3)), Simplex((0, 1, 3))),
@@ -282,5 +280,10 @@ class TestAnalyzeKd1:
             analyze_max_clique_configuration(fan_k3(), [0, 1])
 
 
+def _edges(g):
+    """Each edge of a dual graph once, as (i, j) with i < j."""
+    return [(i, j) for i, nbrs in enumerate(g) for j in nbrs if i < j]
+
+
 def _pairwise_adjacent(g, nodes):
-    return all(b in g.adjacency[a] for a in nodes for b in nodes if a != b)
+    return all(b in g[a] for a in nodes for b in nodes if a != b)

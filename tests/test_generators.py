@@ -45,7 +45,7 @@ def exact_volume(c):
         fact *= k
     for i in range(len(c.simplices)):
         pts = [c.vertices[v] for v in c.simplices[i].vertex_ids]
-        rows = [tuple(a - b for a, b in zip(p.coords, pts[0].coords)) for p in pts[1:]]
+        rows = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
         total += abs(Fraction(cofactor_det(rows))) / fact
     return total
 
@@ -65,7 +65,7 @@ class TestFan:
         assert len(c.simplices) == k
         assert validate(c, GEOMETRIC_STRICT).ok
         g = build_dual(c)
-        assert all(len(g.adjacency[i]) == 2 for i in range(k))
+        assert all(len(g[i]) == 2 for i in range(k))
         # central vertex fully surrounded: all its edges glued
         spokes = [own for f, own in c.facet_owners.items() if 0 in f]
         assert all(len(own) == 2 for own in spokes)
@@ -76,7 +76,7 @@ class TestFan:
         assert len(c.simplices) == k
         assert validate(c, COMBINATORIAL).ok
         g = build_dual(c)
-        assert all(len(g.adjacency[i]) == 2 for i in range(k))
+        assert all(len(g[i]) == 2 for i in range(k))
 
     def test_closed_fan_alias(self):
         a = generate(GeneratorSpec(CLOSED_FAN, 2, 6))
@@ -148,7 +148,7 @@ class TestPath:
         assert len(c.simplices) == n
         assert validate(c, GEOMETRIC_STRICT).ok
         g = build_dual(c)
-        degrees = sorted(map(len, g.adjacency))
+        degrees = sorted(map(len, g))
         if n == 1:
             assert degrees == [0]
         else:

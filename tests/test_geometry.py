@@ -12,14 +12,12 @@ from simplexcolor.errors import InputError
 from simplexcolor.geometry import (
     MAX_DECIMAL_EXPONENT,
     Hyperplane,
-    Point,
     _bareiss,
     extreme_point,
     homogeneous_orientation,
     homogeneous_row,
     hull_normal,
     orientation,
-    point,
     rational,
     side_of,
     supporting_hyperplane,
@@ -79,45 +77,30 @@ class TestRational:
             rational(text)
 
 
-class TestPoint:
-    def test_integral_coordinates_stored_as_int(self):
-        p = Point((Fraction(4, 2), 2.0, "6/3", Fraction(1, 3), "-0.5", 7))
-        assert p.coords == (2, 2, 2, Fraction(1, 3), Fraction(-1, 2), 7)
-        assert [type(x) for x in p.coords] == [int, int, int, Fraction, Fraction, int]
-
-    def test_equality_and_hash_across_input_forms(self):
-        forms = [Point((2, Fraction(1, 3))), Point((Fraction(6, 3), "1/3")),
-                 Point(["2", Fraction(2, 6)]), Point((2.0, "2/6")), point(2, Fraction(1, 3))]
-        assert all(p == forms[0] and hash(p) == hash(forms[0]) for p in forms)
-        assert all(type(p.coords) is tuple for p in forms)
-        assert len(set(forms)) == 1
-        assert Point((1, 2)) != Point((1, Fraction(5, 2)))
-
-
 class TestOrientation:
     def test_positive_triangle(self):
-        assert orientation([point(0, 0), point(1, 0), point(0, 1)], 2) == 1
+        assert orientation([(0, 0), (1, 0), (0, 1)], 2) == 1
 
     def test_collinear(self):
-        assert orientation([point(0, 0), point(1, 0), point(2, 0)], 2) == 0
+        assert orientation([(0, 0), (1, 0), (2, 0)], 2) == 0
 
     def test_unit_tetrahedron(self):
-        pts = [point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(0, 0, 1)]
+        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         assert orientation(pts, 3) == 1
 
     def test_swap_flips_sign(self):
-        pts = [point(0, 0), point(1, 0), point(0, 1)]
+        pts = [(0, 0), (1, 0), (0, 1)]
         assert orientation([pts[1], pts[0], pts[2]], 2) == -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            orientation([point(0, 0), point(1, 0)], 2)
+            orientation([(0, 0), (1, 0)], 2)
         with pytest.raises(InputError):
-            orientation([point(0, 0, 0), point(1, 0, 0), point(0, 1, 0)], 2)
+            orientation([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 2)
 
     @given(st.permutations(range(3)))
     def test_antisymmetry_under_transposition(self, perm):
-        pts = [point(0, 0), point(3, 1), point(1, 4)]
+        pts = [(0, 0), (3, 1), (1, 4)]
         # parity of the permutation decides the sign
         inversions = sum(
             1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j]
@@ -196,8 +179,8 @@ class TestDet:
 
     def test_orientation_of_rational_points(self):
         third = Fraction(1, 3)
-        pts = [point(third, 0), point(1, Fraction(1, 7)), point(0, Fraction(5, 11))]
-        rows = [tuple(a - b for a, b in zip(p.coords, pts[0].coords)) for p in pts[1:]]
+        pts = [(third, 0), (1, Fraction(1, 7)), (0, Fraction(5, 11))]
+        rows = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
         expected = cofactor_det([list(r) for r in rows])
         assert orientation(pts, 2) == (expected > 0) - (expected < 0) != 0
 
@@ -205,19 +188,19 @@ class TestDet:
 class TestSideOf:
     def test_above(self):
         h = Hyperplane((0, 0, 1), 0)
-        assert side_of(h, point(0, 0, 1)) == 1
+        assert side_of(h, (0, 0, 1)) == 1
 
     def test_on_plane(self):
         h = Hyperplane((0, 0, 1), 0)
-        assert side_of(h, point(5, -3, 0)) == 0
+        assert side_of(h, (5, -3, 0)) == 0
 
     def test_below(self):
         h = Hyperplane((1, 1), 1)
-        assert side_of(h, point(0, 0)) == -1
+        assert side_of(h, (0, 0)) == -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            side_of(Hyperplane((1, 0), 0), point(1, 2, 3))
+            side_of(Hyperplane((1, 0), 0), (1, 2, 3))
 
     def test_zero_normal_rejected(self):
         with pytest.raises(InputError):
@@ -226,11 +209,11 @@ class TestSideOf:
 
 class TestExtremePoint:
     def test_lexicographic_minimum(self):
-        cloud = [point(1, 1), point(0, 2), point(0, 0)]
+        cloud = [(1, 1), (0, 2), (0, 0)]
         assert extreme_point(cloud) == 2
 
     def test_single_point(self):
-        assert extreme_point([point(7, 7)]) == 0
+        assert extreme_point([(7, 7)]) == 0
 
     def test_empty_errors(self):
         with pytest.raises(InputError):
@@ -239,15 +222,15 @@ class TestExtremePoint:
     def test_grid_corner(self):
         # Integer grid vertex set: the all-zeros corner wins and is a hull
         # vertex of the brute-force hull.
-        cloud = [point(x, y) for x in range(3) for y in range(3)]
+        cloud = [(x, y) for x in range(3) for y in range(3)]
         idx = extreme_point(cloud)
-        assert cloud[idx].coords == (0, 0)
+        assert cloud[idx] == (0, 0)
         raw = [(p[0], p[1]) for p in cloud]
         assert idx in brute_hull_vertices_2d(raw)
 
 
 def square_corners():
-    return [point(0, 0), point(1, 0), point(1, 1), point(0, 1)]
+    return [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
 class TestSupportingHyperplane:
@@ -259,22 +242,22 @@ class TestSupportingHyperplane:
         assert all(side_of(h, q) <= 0 for q in cloud)
 
     def test_interior_point_is_not(self):
-        cloud = square_corners() + [point(Fraction(1, 2), Fraction(1, 2))]
+        cloud = square_corners() + [(Fraction(1, 2), Fraction(1, 2))]
         assert supporting_hyperplane([cloud[-1]], cloud) is None
 
     def test_face_vertex_must_be_in_cloud(self):
         with pytest.raises(InputError):
-            supporting_hyperplane([point(9, 9)], square_corners())
+            supporting_hyperplane([(9, 9)], square_corners())
 
     def test_empty_cloud(self):
         with pytest.raises(InputError):
-            supporting_hyperplane([point(0, 0)], [])
+            supporting_hyperplane([(0, 0)], [])
 
     def test_edges_of_point_set_match_brute_force(self):
         # Convex position plus interior points; every candidate pair checked
         # against the brute-force hull-edge enumeration.
         raw = [(0, 0), (4, 0), (5, 3), (2, 5), (0, 3), (2, 2), (3, 1), (1, 1)]
-        cloud = [point(x, y) for x, y in raw]
+        cloud = [(x, y) for x, y in raw]
         expected = brute_hull_edges_2d(raw)
         for i in range(len(raw)):
             for j in range(i + 1, len(raw)):
@@ -287,13 +270,13 @@ class TestSupportingHyperplane:
     def test_degenerate_cloud_whole_flat(self):
         # Collinear cloud in R^2: hull has empty interior, so every face is
         # on the boundary and the supporting plane contains the whole flat.
-        cloud = [point(i, 2 * i) for i in range(4)]
+        cloud = [(i, 2 * i) for i in range(4)]
         h = supporting_hyperplane([cloud[1], cloud[2]], cloud)
         assert h is not None
         assert all(side_of(h, q) == 0 for q in cloud)
 
     def test_3d_facet_of_tetrahedron(self):
-        cloud = [point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(0, 0, 1)]
+        cloud = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         h = supporting_hyperplane(cloud[:3], cloud)
         assert h is not None
         assert all(side_of(h, q) == 0 for q in cloud[:3])
@@ -302,16 +285,16 @@ class TestSupportingHyperplane:
     def test_3d_interior_face_absent(self):
         # Two tetrahedra glued at a facet: the shared facet is interior.
         cloud = [
-            point(0, 0, 0), point(1, 0, 0), point(0, 1, 0),
-            point(0, 0, 1), point(0, 0, -1),
+            (0, 0, 0), (1, 0, 0), (0, 1, 0),
+            (0, 0, 1), (0, 0, -1),
         ]
         shared = [cloud[0], cloud[1], cloud[2]]
         assert supporting_hyperplane(shared, cloud) is None
 
     def test_3d_edge_on_hull(self):
         cloud = [
-            point(0, 0, 0), point(1, 0, 0), point(0, 1, 0),
-            point(0, 0, 1), point(0, 0, -1),
+            (0, 0, 0), (1, 0, 0), (0, 1, 0),
+            (0, 0, 1), (0, 0, -1),
         ]
         h = supporting_hyperplane([cloud[0], cloud[1]], cloud)
         assert h is not None
@@ -328,7 +311,7 @@ class TestSupportingHyperplane:
     )
     @settings(max_examples=120, deadline=None)
     def test_one_closed_side_property(self, raw, pick):
-        cloud = [point(x, y) for x, y in dict.fromkeys(raw)]
+        cloud = [(x, y) for x, y in dict.fromkeys(raw)]
         face = [cloud[pick % len(cloud)]]
         h = supporting_hyperplane(face, cloud)
         if h is None:
@@ -341,8 +324,8 @@ class TestSupportingHyperplane:
         # Exactness check: scaling all coordinates by 3/7 flips nothing.
         raw = [(0, 0), (4, 0), (5, 3), (2, 5), (0, 3), (2, 2)]
         s = Fraction(3, 7)
-        cloud = [point(x, y) for x, y in raw]
-        scaled = [point(x * s, y * s) for x, y in raw]
+        cloud = [(x, y) for x, y in raw]
+        scaled = [(x * s, y * s) for x, y in raw]
         for i in range(len(raw)):
             for j in range(i + 1, len(raw)):
                 a = supporting_hyperplane([cloud[i], cloud[j]], cloud)
@@ -354,8 +337,8 @@ class TestSupportingHyperplane:
 
     def test_extreme_point_always_supported(self):
         clouds = [
-            [point(1, 1), point(0, 2), point(0, 0), point(3, 1)],
-            [point(x, y, (x * y) % 3) for x in range(3) for y in range(2)],
+            [(1, 1), (0, 2), (0, 0), (3, 1)],
+            [(x, y, (x * y) % 3) for x in range(3) for y in range(2)],
         ]
         for cloud in clouds:
             v = cloud[extreme_point(cloud)]
@@ -517,7 +500,7 @@ def test_hull_kernel_matches_fraction_reference(d):
         face_rows = [homogeneous_row(p) for p in face]
         found = hull_normal(face_rows, rows)
         assert (found is not None) == (expected is not None), (face, cloud)
-        got = supporting_hyperplane([Point(p) for p in face], [Point(p) for p in cloud])
+        got = supporting_hyperplane(face, cloud)
         assert got == expected, (face, cloud)
         if found is not None:
             assert all(sum(map(operator.mul, found, r)) <= 0 for r in rows)
@@ -562,6 +545,6 @@ def test_homogeneous_orientation_matches_orientation(d):
         value = cofactor_det([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
         expected = (value > 0) - (value < 0)
         assert homogeneous_orientation([homogeneous_row(p) for p in pts]) == expected, pts
-        assert orientation([Point(p) for p in pts], d) == expected, pts
+        assert orientation(pts, d) == expected, pts
         signs[expected] += 1
     assert set(signs) == {-1, 0, 1}

@@ -14,7 +14,6 @@ import simplexcolor.model as model_module
 from simplexcolor.coloring import color, peel, save_certificate
 from simplexcolor.errors import InputError
 from simplexcolor.generators import GeneratorSpec, generate
-from simplexcolor.geometry import point
 from simplexcolor.model import (
     COMBINATORIAL,
     GEOMETRIC_STRICT,
@@ -43,24 +42,24 @@ class _Id(IntEnum):
 
 
 def unit_triangle():
-    return Complex(2, (point(0, 0), point(1, 0), point(0, 1)), (Simplex((0, 1, 2)),))
+    return Complex(2, ((0, 0), (1, 0), (0, 1)), (Simplex((0, 1, 2)),))
 
 
 def two_glued_triangles():
-    verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1))
+    verts = ((0, 0), (1, 0), (0, 1), (1, 1))
     return Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3))))
 
 
 def fan_k3():
     # Three triangles sharing and surrounding a central vertex.
-    verts = (point(0, 0), point(2, 0), point(-1, 2), point(-1, -2))
+    verts = ((0, 0), (2, 0), (-1, 2), (-1, -2))
     return Complex(2, verts, (Simplex((0, 1, 2)), Simplex((0, 2, 3)), Simplex((0, 1, 3))))
 
 
 def tetra_boundary_in_plane():
     # Boundary of a tetrahedron forced into R^2: combinatorially fine,
     # geometrically overlapping.
-    verts = (point(0, 0), point(4, 0), point(0, 4), point(1, 1))
+    verts = ((0, 0), (4, 0), (0, 4), (1, 1))
     simplices = tuple(
         Simplex(ids) for ids in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     )
@@ -81,11 +80,28 @@ class TestStructure:
 
     def test_vertex_reference_checked(self):
         with pytest.raises(InputError):
-            Complex(2, (point(0, 0), point(1, 0)), (Simplex((0, 1, 2)),))
+            Complex(2, ((0, 0), (1, 0)), (Simplex((0, 1, 2)),))
 
     def test_vertex_dimension_checked(self):
         with pytest.raises(InputError):
-            Complex(2, (point(0, 0, 0),), ())
+            Complex(2, ((0, 0, 0),), ())
+
+
+class TestVertexCoordinates:
+    def test_integral_coordinates_stored_as_int(self):
+        c = Complex(6, ((Fraction(4, 2), 2.0, "6/3", Fraction(1, 3), "-0.5", 7),), ())
+        assert c.vertices[0] == (2, 2, 2, Fraction(1, 3), Fraction(-1, 2), 7)
+        assert [type(x) for x in c.vertices[0]] == [int, int, int, Fraction, Fraction, int]
+
+    def test_equality_and_hash_across_input_forms(self):
+        forms = [Complex(2, (row,), ()) for row in (
+            (2, Fraction(1, 3)), (Fraction(6, 3), "1/3"), ["2", Fraction(2, 6)], (2.0, "2/6"),
+            (2, Fraction(1, 3)))]
+        assert all(c == forms[0] and hash(c) == hash(forms[0]) for c in forms)
+        assert all(type(c.vertices[0]) is tuple and hash(c.vertices[0]) == hash(forms[0].vertices[0])
+                   for c in forms)
+        assert len(set(forms)) == 1
+        assert Complex(2, ((1, 2),), ()) != Complex(2, ((1, Fraction(5, 2)),), ())
 
 
 class TestValueClasses:
@@ -113,7 +129,7 @@ class TestValueClasses:
 
     def test_complex_rejects_non_integer_simplex_ids(self):
         with pytest.raises(InputError, match="simplex ids must be integers"):
-            Complex(2, (point(0, 0), point(1, 0), point(0, 1)), ((0, 1.9, 2),))
+            Complex(2, ((0, 0), (1, 0), (0, 1)), ((0, 1.9, 2),))
 
     @pytest.mark.parametrize("row, message", [
         ([2, 1, 0], "simplex ids must be strictly increasing: (2, 1, 0)"),
@@ -149,13 +165,13 @@ class TestValidate:
         assert len(c.facet_owners[(1, 2)]) == 2
 
     def test_degenerate_simplex_reported(self):
-        c = Complex(2, (point(0, 0), point(1, 0), point(2, 0)), (Simplex((0, 1, 2)),))
+        c = Complex(2, ((0, 0), (1, 0), (2, 0)), (Simplex((0, 1, 2)),))
         rep = validate(c)
         assert not rep.ok
         assert any(i.code == "degenerate-simplex" for i in rep.issues)
 
     def test_overglued_facet_reported(self):
-        verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1), point(-1, -1))
+        verts = ((0, 0), (1, 0), (0, 1), (1, 1), (-1, -1))
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3)), Simplex((1, 2, 4))))
         rep = validate(c)
         assert any(i.code == "overglued-facet" for i in rep.issues)
@@ -163,8 +179,8 @@ class TestValidate:
     def test_overglued_report_literal(self):
         # Two facets each owned by three triangles, one of them degenerate.
         # Issues follow first-seen facet order: (1, 2) before (0, 1).
-        verts = (point(0, 0), point(1, 0), point(0, 1), point(1, 1),
-                 point(-1, -1), point(2, 0), point(0, -1))
+        verts = ((0, 0), (1, 0), (0, 1), (1, 1),
+                 (-1, -1), (2, 0), (0, -1))
         c = Complex(2, verts, tuple(Simplex(s) for s in (
             (1, 2, 4), (0, 1, 5), (0, 1, 2), (1, 2, 3), (0, 1, 6))))
         combinatorial = (
@@ -183,7 +199,7 @@ class TestValidate:
     def test_duplicate_simplex_reported(self):
         c = Complex(
             2,
-            (point(0, 0), point(1, 0), point(0, 1)),
+            ((0, 0), (1, 0), (0, 1)),
             (Simplex((0, 1, 2)), Simplex((0, 1, 2))),
         )
         rep = validate(c)
@@ -192,7 +208,7 @@ class TestValidate:
     def test_coincident_vertices_reported(self):
         c = Complex(
             2,
-            (point(0, 0), point(1, 0), point(0, 1), point(1, 0)),
+            ((0, 0), (1, 0), (0, 1), (1, 0)),
             (Simplex((0, 1, 2)),),
         )
         rep = validate(c)
@@ -202,8 +218,8 @@ class TestValidate:
         half = Fraction(1, 2)
         c = Complex(
             2,
-            (point(half, -3), point(1, half), point(Fraction(2, 4), -3),
-             point(half, 3), point("1/2", "-3")),
+            ((half, -3), (1, half), (Fraction(2, 4), -3),
+             (half, 3), ("1/2", "-3")),
             (Simplex((0, 1, 3)),),
         )
         found = [i.where for i in validate(c).issues if i.code == "coincident-vertices"]
@@ -232,8 +248,8 @@ class TestValidate:
     def test_3d_overlap_detected(self):
         # A small tetrahedron strictly inside a big one (no shared ids).
         verts = (
-            point(0, 0, 0), point(6, 0, 0), point(0, 6, 0), point(0, 0, 6),
-            point(1, 1, 1), point(2, 1, 1), point(1, 2, 1), point(1, 1, 2),
+            (0, 0, 0), (6, 0, 0), (0, 6, 0), (0, 0, 6),
+            (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
         )
         c = Complex(3, verts, (Simplex((0, 1, 2, 3)), Simplex((4, 5, 6, 7))))
         rep = validate(c, GEOMETRIC_STRICT)
@@ -241,8 +257,8 @@ class TestValidate:
 
     def test_3d_glued_tetra_not_flagged(self):
         verts = (
-            point(0, 0, 0), point(1, 0, 0), point(0, 1, 0),
-            point(0, 0, 1), point(0, 0, -1),
+            (0, 0, 0), (1, 0, 0), (0, 1, 0),
+            (0, 0, 1), (0, 0, -1),
         )
         c = Complex(3, verts, (Simplex((0, 1, 2, 3)), Simplex((0, 1, 2, 4))))
         assert validate(c, GEOMETRIC_STRICT).ok
@@ -303,7 +319,7 @@ def test_overlap_check_matches_independent_oracle():
             continue
         if len({p for p in raw}) != 6:
             continue
-        verts = tuple(point(x, y) for x, y in raw)
+        verts = tuple((x, y) for x, y in raw)
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((3, 4, 5))))
         rep = validate(c, GEOMETRIC_STRICT)
         flagged = any(i.code == "interior-overlap" for i in rep.issues)
@@ -319,7 +335,7 @@ class TestFacetMultiplicity:
     def test_single_tetrahedron(self):
         c = Complex(
             3,
-            (point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), point(0, 0, 1)),
+            ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
             (Simplex((0, 1, 2, 3)),),
         )
         assert sorted(map(len, c.facet_owners.values())) == [1, 1, 1, 1]
@@ -350,14 +366,14 @@ class TestSerialization:
         )
         c = load(str(p))
         assert c.dimension == 2
-        assert c.vertices[2].coords == (Fraction(0), Fraction(1, 3))
+        assert c.vertices[2] == (Fraction(0), Fraction(1, 3))
         assert len(c.simplices) == 1
 
     def test_round_trip_exact(self, tmp_path):
         verts = (
-            point(Fraction(1, 3), Fraction(-7, 11)),
-            point(Fraction(4, 2), 0.0),
-            point("0/5", Fraction(22, 7)),
+            (Fraction(1, 3), Fraction(-7, 11)),
+            (Fraction(4, 2), 0.0),
+            ("0/5", Fraction(22, 7)),
         )
         c = Complex(2, verts, (Simplex((0, 1, 2)),))
         path = str(tmp_path / "c.json")
@@ -392,7 +408,7 @@ class TestSerialization:
             if name == "col.json":
                 load_coloring(str(p))
             else:
-                load(str(p), format=name[2:])
+                load(str(p))
 
     @pytest.mark.parametrize("data", [
         {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1.7, 2]]},
@@ -426,7 +442,7 @@ class TestSerialization:
         p.write_text(
             "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n3 1 3 2\n"
         )
-        c = load(str(p), format="off")
+        c = load(str(p))
         assert c.dimension == 2
         assert len(c.simplices) == 2
         assert validate(c, GEOMETRIC_STRICT).ok
@@ -435,26 +451,26 @@ class TestSerialization:
         p = tmp_path / "quad.off"
         p.write_text("OFF\n4 1 0\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n")
         with pytest.raises(InputError, match="triangle"):
-            load(str(p), format="off")
+            load(str(p))
 
     def test_off_rejects_nonplanar(self, tmp_path):
         p = tmp_path / "solid.off"
         p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 1\n3 0 1 2\n")
         with pytest.raises(InputError, match="planar"):
-            load(str(p), format="off")
+            load(str(p))
 
     def test_off_round_trip(self, tmp_path):
         c = two_glued_triangles()
         path = str(tmp_path / "c.off")
-        save(c, path, format="off")
-        assert load(path, format="off") == c
+        save(c, path)
+        assert load(path) == c
 
     def test_written_bytes(self, tmp_path):
-        verts = (point(0, 0), point(1, 0), point(0, 1), point(Fraction(3, 2), 1))
+        verts = ((0, 0), (1, 0), (0, 1), (Fraction(3, 2), 1))
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((1, 2, 3))))
         cert = peel(c)
         save(c, str(tmp_path / "c.json"))
-        save(c, str(tmp_path / "c.off"), format="off")
+        save(c, str(tmp_path / "c.off"))
         save_coloring(color(c, cert), str(tmp_path / "col.json"))
         save_certificate(cert, str(tmp_path / "cert.json"))
         written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -466,9 +482,14 @@ class TestSerialization:
             "cert.json": b'{"method":"combinatorial","steps":[[0,[0,1]],[1,[1,2]]]}\n',
         }
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(InputError):
-            load(str(tmp_path / "x"), format="stl")
+    @pytest.mark.parametrize("name", ["m.off", "M.OFF", "m.Off", "m.json", "m.txt", "m.off.json"])
+    def test_format_follows_the_path(self, tmp_path, name):
+        # OFF exactly when the path ends in .off, in any case; JSON otherwise.
+        c = two_glued_triangles()
+        path = str(tmp_path / name)
+        save(c, path)
+        assert open(path, "rb").read().startswith(b"OFF\n" if name.lower().endswith(".off") else b"{")
+        assert load(path) == c
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +558,7 @@ def overlap_pairs(report):
 
 def simplex_coords(c, i):
     """Simplex i's vertex coordinates, in vertex-id order."""
-    return [c.vertices[v].coords for v in c.simplices[i].vertex_ids]
+    return [c.vertices[v] for v in c.simplices[i].vertex_ids]
 
 
 def oracle_pairs(c):
@@ -584,7 +605,7 @@ def test_strict_overlap_matches_fraction_sat_oracle(d, rational):
         pts_b = [verts[v] for v in sorted(ids_b)]
         if is_degenerate(pts_a) or is_degenerate(pts_b):
             continue
-        c = Complex(d, tuple(point(*v) for v in verts),
+        c = Complex(d, verts,
                     (Simplex(tuple(ids_a)), Simplex(tuple(sorted(ids_b)))))
         expected = oracle_interiors_overlap(pts_a, pts_b, d)
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
@@ -596,13 +617,13 @@ def test_strict_overlap_matches_fraction_sat_oracle(d, rational):
 def test_glued_pair_apex_sides():
     # The shared edge (0,0)-(2,0); apexes on opposite sides, then on one side.
     for apex_b, overlap in (((1, -1), False), ((5, 1), True), ((1, 1), True)):
-        verts = (point(0, 0), point(2, 0), point(1, 2), point(*apex_b))
+        verts = ((0, 0), (2, 0), (1, 2), tuple(apex_b))
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((0, 1, 3))))
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == overlap, apex_b
     # Two tetrahedra glued on the face z = 0, apexes above and below / both above.
     for apex_z, overlap in ((-1, False), (3, True)):
-        verts = (point(0, 0, 0), point(3, 0, 0), point(0, 3, 0), point(1, 1, 1),
-                 point(Fraction(1, 2), Fraction(1, 3), apex_z))
+        verts = ((0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 1),
+                 (Fraction(1, 2), Fraction(1, 3), apex_z))
         c = Complex(3, verts, (Simplex((0, 1, 2, 3)), Simplex((0, 1, 2, 4))))
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == overlap, apex_z
 
@@ -613,7 +634,7 @@ def test_strict_report_invariant_under_rational_scaling():
              moved_vertex(generate(GeneratorSpec("freudenthal", 3, 2)))]
     for c in cases:
         scaled = Complex(c.dimension,
-                         tuple(point(*(x * factor for x in p.coords)) for p in c.vertices),
+                         tuple(tuple(x * factor for x in p) for p in c.vertices),
                          c.simplices)
         before = validate(c, GEOMETRIC_STRICT)
         assert overlap_pairs(before)
@@ -626,7 +647,7 @@ def moved_vertex(c):
     mid = simplex_coords(c, len(c.simplices) // 2)
     centroid = [sum(p[k] for p in mid) / len(mid) for k in range(c.dimension)]
     verts = list(c.vertices)
-    verts[c.simplices[0].vertex_ids[-1]] = point(*centroid)
+    verts[c.simplices[0].vertex_ids[-1]] = tuple(centroid)
     return Complex(c.dimension, tuple(verts), c.simplices)
 
 
@@ -654,7 +675,7 @@ def coprime_strip(triangles, shift_every=0):
             x = Fraction(k * p + 1, p)
             if row and shift_every and k % shift_every == 0:
                 x += Fraction(3, 2)
-            verts.append(point(x, row))
+            verts.append((x, row))
     simplices = []
     for k in range(cols - 1):
         a = 2 * k
@@ -682,19 +703,19 @@ def test_tiny_gaps_with_huge_denominators_are_exact():
     # Two triangles separated, or overlapping, by 1/(3^80 * 7^40) along x.
     eps = Fraction(1, 3 ** 80 * 7 ** 40)
     for gap, overlap in ((eps, False), (Fraction(0), False), (-eps, True)):
-        verts = (point(0, 0), point(1, Fraction(1, 2)), point(0, 1),
-                 point(1 + gap, 0), point(1 + gap, 1), point(2, Fraction(1, 3)))
+        verts = ((0, 0), (1, Fraction(1, 2)), (0, 1),
+                 (1 + gap, 0), (1 + gap, 1), (2, Fraction(1, 3)))
         c = Complex(2, verts, (Simplex((0, 1, 2)), Simplex((3, 4, 5))))
         rep = validate(c, GEOMETRIC_STRICT)
         assert bool(overlap_pairs(rep)) == overlap, gap
         assert bool(overlap_pairs(rep)) == oracle_interiors_overlap(
-            [v.coords for v in verts[:3]], [v.coords for v in verts[3:]], 2)
+            list(verts[:3]), list(verts[3:]), 2)
 
 
 def test_many_degenerate_simplices_reported_once_each():
     # 3000 collinear triangles plus one real one: every degenerate simplex
     # is reported and skipped by the overlap check.
-    verts = tuple(point(k, 0) for k in range(3002)) + (point(0, 1),)
+    verts = tuple((k, 0) for k in range(3002)) + ((0, 1),)
     simplices = tuple(Simplex((k, k + 1, k + 2)) for k in range(3000)) + (Simplex((0, 1, 3002)),)
     rep = validate(Complex(2, verts, simplices), GEOMETRIC_STRICT)
     codes = [i.code for i in rep.issues]
@@ -711,7 +732,7 @@ def check_pairs_against_oracle(d, verts, pairs):
     """Each (ids_a, ids_b, overlap) over one vertex table: the strict report
     flags the pair exactly when the Fraction SAT oracle does, and the oracle
     agrees with the stated verdict."""
-    vertices = tuple(point(*v) for v in verts)
+    vertices = verts
     for ids_a, ids_b, overlap in pairs:
         c = Complex(d, vertices, (Simplex(ids_a), Simplex(ids_b)))
         expected = oracle_interiors_overlap(simplex_coords(c, 0), simplex_coords(c, 1), d)
@@ -794,7 +815,7 @@ def test_strict_validation_of_a_duplicate_simplex(d, cone_calls):
     verts = [(0,) * d] + [tuple(int(k == axis) for k in range(d)) for axis in range(d)]
     verts.append((1,) * d if d > 1 else (2,))
     first = tuple(range(d + 1))
-    c = Complex(d, tuple(point(*v) for v in verts),
+    c = Complex(d, verts,
                 (Simplex(first), Simplex(tuple(range(1, d + 2))), Simplex(first)))
     facet = tuple(range(1, d + 1))
     assert validate(c, GEOMETRIC_STRICT) == ValidationReport(GEOMETRIC_STRICT, (
@@ -821,7 +842,7 @@ def test_ridge_pairs_match_fraction_sat_oracle(d, rational):
         pts_b = [verts[v] for v in ids_b]
         if is_degenerate(pts_a) or is_degenerate(pts_b):
             continue
-        c = Complex(d, tuple(point(*v) for v in verts), (Simplex(tuple(ids_a)), Simplex(tuple(ids_b))))
+        c = Complex(d, verts, (Simplex(tuple(ids_a)), Simplex(tuple(ids_b))))
         expected = oracle_interiors_overlap(pts_a, pts_b, d)
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
         verdicts[expected] += 1
@@ -905,7 +926,7 @@ def test_strict_overlap_matches_brute_force_oracle_in_every_dimension(d, rationa
         pts_b = [verts[v] for v in ids_b]
         if is_degenerate(pts_a) or is_degenerate(pts_b):
             continue
-        c = Complex(d, tuple(point(*v) for v in verts), (Simplex(tuple(ids_a)), Simplex(tuple(ids_b))))
+        c = Complex(d, verts, (Simplex(tuple(ids_a)), Simplex(tuple(ids_b))))
         expected = brute_force_interiors_overlap(pts_a, pts_b, d)
         calls_before = len(cone_calls)
         assert bool(overlap_pairs(validate(c, GEOMETRIC_STRICT))) == expected, (pts_a, pts_b)
@@ -973,7 +994,7 @@ def test_one_huge_simplex_among_small_ones():
         verts += [(10 * k + dx, 10 * k + dy, 10 * k + dz)
                   for dx, dy, dz in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
         simplices.append(Simplex(tuple(range(base, base + 4))))
-    c = Complex(3, tuple(point(*v) for v in verts), tuple(simplices))
+    c = Complex(3, verts, tuple(simplices))
     pairs = overlap_pairs(validate(c, GEOMETRIC_STRICT))
     assert set(pairs) == {(0, k) for k in range(1, 301)} == oracle_pairs(c)
     assert pairs == [pair for pair in sweep_order(c) if pair in set(pairs)]
@@ -1021,20 +1042,20 @@ def double_winding_fan(k):
         [(2 * t) % k for t in range(k)]
     simplices = tuple(Simplex(tuple(sorted((0, 1 + walk[t], 1 + walk[(t + 1) % k]))))
                       for t in range(k))
-    return Complex(2, (point(0, 0),) + tuple(ring), simplices)
+    return Complex(2, ((0, 0),) + tuple(ring), simplices)
 
 
 def with_moved(c, v, delta):
     """c with vertex v shifted by delta."""
     verts = list(c.vertices)
-    verts[v] = point(*(x + y for x, y in zip(verts[v].coords, delta)))
+    verts[v] = tuple(x + y for x, y in zip(verts[v], delta))
     return Complex(c.dimension, tuple(verts), c.simplices)
 
 
 def with_ring_vertex_folded(c, v):
     """A ring fan with ring vertex v moved from (.., y, z) to (.., 0, -z),
     across the hub: its triangles or tetrahedra fold over their neighbours."""
-    y, z = c.vertices[v].coords[-2:]
+    y, z = c.vertices[v][-2:]
     return with_moved(c, v, (0,) * (c.dimension - 2) + (-y, -2 * z))
 
 
@@ -1050,7 +1071,7 @@ def adjacent_hubs(k):
     id_b = [0] + list(range(k + 1, 2 * k))
     simplices = [tuple(sorted((0, 1 + t, 1 + (t + 1) % k))) for t in range(k)]
     simplices += [tuple(sorted((1, id_b[t], id_b[(t + 1) % k]))) for t in range(k)]
-    return Complex(2, tuple(point(*v) for v in verts), tuple(map(Simplex, simplices)))
+    return Complex(2, verts, tuple(map(Simplex, simplices)))
 
 
 def hub_cases():

@@ -15,7 +15,6 @@ from simplexcolor.coloring import color, peel
 from simplexcolor.dual import build_dual
 from simplexcolor.errors import InputError
 from simplexcolor.generators import GeneratorSpec, generate
-from simplexcolor.geometry import point
 from simplexcolor.model import Complex, Simplex
 from simplexcolor.render import RenderOptions, _fixed3, render_svg
 
@@ -61,12 +60,14 @@ def reference_svg(c, coloring, options):
             cx = sum(c.vertices[v][0] for v in s.vertex_ids) / 3
             cy = sum(c.vertices[v][1] for v in s.vertex_ids) / 3
             centroids.append(xy((cx, cy)))
-        for i, j in build_dual(c).edges():
-            (x1, y1), (x2, y2) = centroids[i], centroids[j]
-            lines.append(
-                f'<line x1="{_ref_fmt(x1)}" y1="{_ref_fmt(y1)}" x2="{_ref_fmt(x2)}" '
-                f'y2="{_ref_fmt(y2)}" stroke="#000000" stroke-width="1.5"/>'
-            )
+        for i, nbrs in enumerate(build_dual(c)):
+            for j in nbrs:
+                if i < j:
+                    (x1, y1), (x2, y2) = centroids[i], centroids[j]
+                    lines.append(
+                        f'<line x1="{_ref_fmt(x1)}" y1="{_ref_fmt(y1)}" x2="{_ref_fmt(x2)}" '
+                        f'y2="{_ref_fmt(y2)}" stroke="#000000" stroke-width="1.5"/>'
+                    )
         for x, y in centroids:
             lines.append(
                 f'<circle cx="{_ref_fmt(x)}" cy="{_ref_fmt(y)}" r="3.5" fill="#000000"/>'
@@ -81,9 +82,9 @@ def tie_complex():
     and the centroid of (0, 1, 5) at screen x 322.0005: both ties with an
     even last digit, where round-half-even and round-half-up differ."""
     verts = (
-        point(0, 0), point(576, 0), point(0, 576), point(576, 576),
-        point(Fraction(576001, 2000), 288),
-        point(Fraction(588003, 2000), 100),
+        (0, 0), (576, 0), (0, 576), (576, 576),
+        (Fraction(576001, 2000), 288),
+        (Fraction(588003, 2000), 100),
     )
     return Complex(2, verts, tuple(
         Simplex(ids) for ids in ((0, 1, 4), (0, 1, 5), (2, 3, 4), (1, 3, 4))))
@@ -91,7 +92,7 @@ def tie_complex():
 
 def moved(c, ax, bx, ay, by):
     """c under the affine map (x, y) -> (ax x + bx, ay y + by)."""
-    verts = tuple(point(ax * p[0] + bx, ay * p[1] + by) for p in c.vertices)
+    verts = tuple((ax * p[0] + bx, ay * p[1] + by) for p in c.vertices)
     return Complex(2, verts, c.simplices)
 
 
