@@ -146,6 +146,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
+    if args.limit < 0:
+        raise InputError(f"--limit: oracle limit must be non-negative, got {args.limit}")
     c = load(args.input)
     g = build_dual(c)
     res = exact_chromatic(g, node_limit=args.limit)
@@ -156,7 +158,7 @@ def cmd_chromatic(args) -> int:
 def cmd_render(args) -> int:
     _refuse_collisions([("input", args.input), ("coloring", args.coloring)],
                        [("SVG", args.output)])
-    palette = tuple(args.palette.split(",")) if args.palette else DEFAULT_PALETTE
+    palette = tuple(args.palette.split(",")) if args.palette is not None else DEFAULT_PALETTE
     # Each option is checked on its own, so that a refusal names it.
     for field, value in (("width", args.width), ("height", args.height), ("palette", palette)):
         try:

@@ -22,8 +22,8 @@ from itertools import combinations, groupby
 
 from .dual import build_dual
 from .errors import ColoringError, InputError, InvariantError, UnrealizableComplexError
-from .geometry import extreme_point, hull_normal
-from .model import Coloring, Complex, Facet, _all_ints, _is_int, _naming, _read_json, _write_json
+from .geometry import _is_int, extreme_point, hull_normal
+from .model import Coloring, Complex, Facet, _all_ints, _naming, _read_json, _write_json
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC = "geometric"

@@ -22,9 +22,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Callable, NamedTuple
 
 from .errors import InputError, InvariantError
-from .model import Complex, Simplex
+from .model import Complex
 
 FAN = "fan"
 CLOSED_FAN = "closed-fan"
@@ -33,8 +34,6 @@ DELAUNAY2D = "delaunay2d"
 FREUDENTHAL = "freudenthal"
 PATH = "path"
 BOUNDARY_ABSTRACT = "boundary-abstract"
-
-KINDS = (FAN, CLOSED_FAN, TRI_TILING, DELAUNAY2D, FREUDENTHAL, PATH, BOUNDARY_ABSTRACT)
 
 # Most simplices, and most vertex coordinates plus simplex ids, one spec may
 # ask for; checked before anything is built.  The second bounds high d: a
@@ -51,37 +50,64 @@ class GeneratorSpec:
     seed: int = 0
 
 
+def _freudenthal_count(d: int, m: int) -> int:
+    """m^d cells of d! simplices: the product of m*k, k = 1..d, multiplied
+    out only as far as needed to exceed MAX_SIMPLICES."""
+    count = 1
+    for k in range(1, d + 1):
+        count *= m * k
+        if not count or count > MAX_SIMPLICES:
+            break
+    return count
+
+
+class _Kind(NamedTuple):
+    """A generator kind: the least dimension and size `generate` accepts
+    (None: any size), what the size counts, the builder (dimension, size,
+    seed), and the simplices and vertices a (dimension, size) asks for."""
+
+    least_dimension: int
+    least_size: int | None
+    counts: str
+    build: Callable[[int, int, int], Complex]
+    simplices: Callable[[int, int], int]
+    vertices: Callable[[int, int], int]
+
+
+_TABLE = {
+    FAN: _Kind(2, 3, "simplices", lambda d, n, _: _ring(d, n), lambda d, n: n, lambda d, n: n + d - 1),
+    CLOSED_FAN: _Kind(2, 3, "triangles", lambda d, n, _: _ring(2, n), lambda d, n: n,
+                      lambda d, n: n + d - 1),
+    TRI_TILING: _Kind(2, 1, "row", lambda d, n, _: _tri_tiling(n), lambda d, n: 2 * n * n,
+                      lambda d, n: (n + 1) ** 2),
+    DELAUNAY2D: _Kind(2, 3, "points", lambda d, n, seed: _delaunay2d(n, seed), lambda d, n: 2 * n - 5,
+                      lambda d, n: n),
+    FREUDENTHAL: _Kind(1, 1, "cell per side", lambda d, n, _: _freudenthal(d, n), _freudenthal_count,
+                       lambda d, n: (n + 1) ** min(d, 64)),
+    PATH: _Kind(1, 1, "simplex", lambda d, n, _: _path(d, n), lambda d, n: n, lambda d, n: n + d),
+    BOUNDARY_ABSTRACT: _Kind(1, None, "", lambda d, n, _: _boundary_abstract(d), lambda d, n: d + 2,
+                             lambda d, n: d + 2),
+}
+
+KINDS = tuple(_TABLE)
+
+
 def _simplex_count(spec: GeneratorSpec) -> int:
     """Simplices the spec asks for (for delaunay2d Euler's bound 2n - 5),
     counted only as far as needed to exceed MAX_SIMPLICES."""
-    d, size = spec.dimension, max(spec.size, 0)
-    if spec.kind == TRI_TILING:
-        return 2 * size * size
-    if spec.kind == DELAUNAY2D:
-        return 2 * size - 5
-    if spec.kind == FREUDENTHAL:
-        count = 1  # m^d cells of d! simplices: the product of m*k, k = 1..d
-        for k in range(1, d + 1):
-            count *= size * k
-            if not count or count > MAX_SIMPLICES:
-                break
-        return count
-    if spec.kind == BOUNDARY_ABSTRACT:
-        return d + 2
-    return size
+    return _TABLE[spec.kind].simplices(spec.dimension, max(spec.size, 0))
 
 
 def _vertex_count(spec: GeneratorSpec) -> int:
     """Vertices the spec asks for (at most, for delaunay2d); for freudenthal
     only as far as needed to exceed MAX_ENTRIES: for m >= 1, 2^64 does."""
-    d, size = max(spec.dimension, 0), max(spec.size, 0)
-    counts = {TRI_TILING: (size + 1) ** 2, DELAUNAY2D: size, FREUDENTHAL: (size + 1) ** min(d, 64),
-              PATH: size + d, BOUNDARY_ABSTRACT: d + 2}
-    return counts.get(spec.kind, size + d - 1)  # a ring of `size` around a hinge of d - 1
+    return _TABLE[spec.kind].vertices(max(spec.dimension, 0), max(spec.size, 0))
 
 
 def generate(spec: GeneratorSpec) -> Complex:
-    d, size = spec.dimension, spec.size
+    kind, d, size = _TABLE.get(spec.kind), spec.dimension, spec.size
+    if kind is None:
+        raise InputError(f"unknown generator kind {spec.kind!r}")
     if spec.kind in (CLOSED_FAN, TRI_TILING, DELAUNAY2D) and d != 2:
         # Checked before the cap, which counts coordinates in dimension d.
         raise InputError(f"{spec.kind} is a planar kind (dimension 2)")
@@ -92,41 +118,11 @@ def generate(spec: GeneratorSpec) -> Complex:
             f"{MAX_SIMPLICES} simplices or {MAX_ENTRIES} vertex coordinates and ids "
             f"(the generator cap)"
         )
-    if spec.kind == FAN:
-        if d < 2:
-            raise InputError("fan requires dimension >= 2")
-        if size < 3:
-            raise InputError("fan requires at least 3 simplices")
-        return _ring(d, size)
-    if spec.kind == CLOSED_FAN:
-        if size < 3:
-            raise InputError("closed-fan requires at least 3 triangles")
-        return _ring(2, size)
-    if spec.kind == TRI_TILING:
-        if size < 1:
-            raise InputError("tri-tiling requires at least 1 row")
-        return _tri_tiling(size)
-    if spec.kind == DELAUNAY2D:
-        if size < 3:
-            raise InputError("delaunay2d requires at least 3 points")
-        return _delaunay2d(size, spec.seed)
-    if spec.kind == FREUDENTHAL:
-        if d < 1:
-            raise InputError("freudenthal requires dimension >= 1")
-        if size < 1:
-            raise InputError("freudenthal requires at least 1 cell per side")
-        return _freudenthal(d, size)
-    if spec.kind == PATH:
-        if d < 1:
-            raise InputError("path requires dimension >= 1")
-        if size < 1:
-            raise InputError("path requires at least 1 simplex")
-        return _path(d, size)
-    if spec.kind == BOUNDARY_ABSTRACT:
-        if d < 1:
-            raise InputError("boundary-abstract requires dimension >= 1")
-        return _boundary_abstract(d)
-    raise InputError(f"unknown generator kind {spec.kind!r}")
+    if d < kind.least_dimension:
+        raise InputError(f"{spec.kind} requires dimension >= {kind.least_dimension}")
+    if kind.least_size is not None and size < kind.least_size:
+        raise InputError(f"{spec.kind} requires at least {kind.least_size} {kind.counts}")
+    return kind.build(d, size, spec.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def _ring(d: int, k: int) -> Complex:
     nh = len(hinge)
     hinge_ids = tuple(range(nh))
     simplices = tuple(
-        Simplex(tuple(sorted(hinge_ids + (nh + i, nh + (i + 1) % k))))
+        tuple(sorted(hinge_ids + (nh + i, nh + (i + 1) % k)))
         for i in range(k)
     )
     return Complex(d, vertices, simplices)
@@ -186,8 +182,8 @@ def _tri_tiling(m: int) -> Complex:
         for i in range(m):
             up = (vid(i, j), vid(i + 1, j), vid(i, j + 1))
             down = (vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1))
-            simplices.append(Simplex(tuple(sorted(up))))
-            simplices.append(Simplex(tuple(sorted(down))))
+            simplices.append(tuple(sorted(up)))
+            simplices.append(tuple(sorted(down)))
     return Complex(2, vertices, tuple(simplices))
 
 
@@ -212,7 +208,7 @@ def _freudenthal(d: int, m: int) -> Complex:
                 step = list(walk[-1])
                 step[axis] += 1
                 walk.append(tuple(step))
-            simplices.append(Simplex(tuple(sorted(vid(c) for c in walk))))
+            simplices.append(tuple(sorted(vid(c) for c in walk)))
     return Complex(d, vertices, tuple(simplices))
 
 
@@ -227,7 +223,7 @@ def _path(d: int, n: int) -> Complex:
         step[j % d] += 1
         walk.append(tuple(step))
     simplices = tuple(
-        Simplex(tuple(range(j, j + d + 1))) for j in range(n)
+        tuple(range(j, j + d + 1)) for j in range(n)
     )
     return Complex(d, walk, simplices)
 
@@ -241,9 +237,7 @@ def _boundary_abstract(d: int) -> Complex:
     for j in range(d):
         pts.append(tuple(1 if i == j else 0 for i in range(d)))
     pts.append(tuple(Fraction(1, d + 1) for _ in range(d)))
-    simplices = tuple(
-        Simplex(ids) for ids in combinations(range(d + 2), d + 1)
-    )
+    simplices = tuple(combinations(range(d + 2), d + 1))
     return Complex(d, pts, simplices)
 
 
@@ -395,6 +389,6 @@ def _delaunay2d(n: int, seed: int) -> Complex:
     remap = {v: i for i, v in enumerate(used)}
     vertices = tuple(tri.points[v] for v in used)
     simplices = tuple(
-        Simplex(tuple(sorted(remap[v] for v in ids))) for ids in sorted(real)
+        tuple(sorted(remap[v] for v in ids)) for ids in sorted(real)
     )
     return Complex(2, vertices, simplices)

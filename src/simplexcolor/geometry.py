@@ -46,10 +46,15 @@ MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
+def _is_int(x) -> bool:
+    """An integer as JSON decodes one: bool is an int subclass but not one."""
+    return isinstance(x, int) and type(x) is not bool
+
+
 def rational(value) -> Fraction:
     """Coerce ints, strings like '3/7', '0.25' or '1e-3', and floats to
-    Fraction.  A string's decimal exponent is bounded by
-    MAX_DECIMAL_EXPONENT in magnitude."""
+    Fraction; a boolean is refused.  A string's decimal exponent is bounded
+    by MAX_DECIMAL_EXPONENT in magnitude."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -60,7 +65,7 @@ def rational(value) -> Fraction:
             raise InputError(f"coordinate {shorten(repr(value))} has a decimal exponent "
                              f"beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, float) or _is_int(value):
         return Fraction(value)  # a float's exact binary value
     raise InputError(f"cannot interpret {shorten(repr(value))} as a rational number")
 

@@ -20,8 +20,8 @@ from math import prod
 from operator import ge, lt, mul
 
 from .errors import InputError, shorten
-from .geometry import (_cone_nonzero, _exact, _quotient, facet_normal, homogeneous_orientation,
-                       homogeneous_row, rational)
+from .geometry import (_cone_nonzero, _exact, _is_int, _quotient, facet_normal,
+                       homogeneous_orientation, homogeneous_row, rational)
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC_STRICT = "geometric-strict"
@@ -31,11 +31,6 @@ GEOMETRIC_STRICT = "geometric-strict"
 # sweep already wins on fans of 8 simplices; 16 keeps ordinary meshes, whose
 # vertices lie in at most about a dozen triangles, on the box path.
 HUB = 16
-
-
-def _is_int(x) -> bool:
-    """An integer as JSON decodes one: bool is an int subclass but not one."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _all_ints(values) -> bool:
@@ -536,11 +531,8 @@ def complex_from_dict(data: dict) -> Complex:
     d = data["dimension"]
     if not _is_int(d):
         raise InputError("'dimension' must be an integer")
-    vertex_rows, simplex_rows = _rows(data, "vertices"), _rows(data, "simplices")
-    if any(isinstance(x, bool) for row in vertex_rows for x in row):
-        raise InputError("a vertex coordinate is a boolean, not a number")
     try:
-        return Complex(d, vertex_rows, simplex_rows)
+        return Complex(d, _rows(data, "vertices"), _rows(data, "simplices"))
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad complex JSON: {shorten(str(exc))}") from exc
 
@@ -657,7 +649,7 @@ def _load_off(path: str) -> Complex:
             raise InputError(f"{path}:{lineno}: face lists {len(ids)} of its {k} vertex ids")
         if len(set(ids)) != 3:
             raise InputError(f"{path}:{lineno}: face repeats a vertex")
-        simplices.append(Simplex(tuple(sorted(ids))))
+        simplices.append(tuple(sorted(ids)))
     return Complex(2, vertices, simplices)
 
 

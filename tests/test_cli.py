@@ -409,6 +409,10 @@ class TestChromatic:
         assert capsys.readouterr().err.startswith(f"error: {path}: graph has 50 nodes, above")
         assert run("chromatic", path, "--limit", "50") == 0
 
+    def test_negative_limit_names_the_option(self, fan_file, capsys):
+        assert run("chromatic", fan_file, "--limit", "-1") == 2
+        assert capsys.readouterr().err == "error: --limit: oracle limit must be non-negative, got -1\n"
+
 
 class TestRender:
     def test_fan_svg(self, fan_file, tmp_path, capsys):
@@ -477,6 +481,7 @@ class TestRender:
         ("--width", "0", "render width must be positive, got 0"),
         ("--height", "-10", "render height must be positive, got -10"),
         ("--palette", 'a"b,blue,green', """palette entry 'a"b' must be non-empty and free of " < > &"""),
+        ("--palette", "", """palette entry '' must be non-empty and free of " < > &"""),
     ])
     def test_option_error_names_the_option(self, fan_file, tmp_path, capsys, option, value, message):
         before = sorted(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from simplexcolor.generators import (
     FREUDENTHAL,
     PATH,
     TRI_TILING,
+    MAX_ENTRIES,
     MAX_SIMPLICES,
     GeneratorSpec,
     _simplex_count,
@@ -288,6 +290,31 @@ class TestDeterminism:
 def test_unknown_kind():
     with pytest.raises(InputError):
         generate(GeneratorSpec("moebius", 2, 3))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (GeneratorSpec(FAN, 1, 3), "fan requires dimension >= 2"),
+    (GeneratorSpec(FAN, 2, 2), "fan requires at least 3 simplices"),
+    (GeneratorSpec(CLOSED_FAN, 2, 2), "closed-fan requires at least 3 triangles"),
+    (GeneratorSpec(TRI_TILING, 2, 0), "tri-tiling requires at least 1 row"),
+    (GeneratorSpec(DELAUNAY2D, 2, 2), "delaunay2d requires at least 3 points"),
+    (GeneratorSpec(FREUDENTHAL, 0, 1), "freudenthal requires dimension >= 1"),
+    (GeneratorSpec(FREUDENTHAL, 2, 0), "freudenthal requires at least 1 cell per side"),
+    (GeneratorSpec(PATH, 0, 1), "path requires dimension >= 1"),
+    (GeneratorSpec(PATH, 2, 0), "path requires at least 1 simplex"),
+    (GeneratorSpec(BOUNDARY_ABSTRACT, 0), "boundary-abstract requires dimension >= 1"),
+    (GeneratorSpec(CLOSED_FAN, 3, 3), "closed-fan is a planar kind (dimension 2)"),
+    (GeneratorSpec(TRI_TILING, 1, 1), "tri-tiling is a planar kind (dimension 2)"),
+    (GeneratorSpec(DELAUNAY2D, 3, 3), "delaunay2d is a planar kind (dimension 2)"),
+    (GeneratorSpec(PATH, 4, MAX_SIMPLICES + 1),
+     f"path of size {MAX_SIMPLICES + 1} in dimension 4 would build more than {MAX_SIMPLICES} "
+     f"simplices or {MAX_ENTRIES} vertex coordinates and ids (the generator cap)"),
+    # An unknown kind is named before the cap, which cannot count its simplices.
+    (GeneratorSpec("moebius", 2, 10**9), "unknown generator kind 'moebius'"),
+])
+def test_single_fault_refusal_messages(spec, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        generate(spec)
 
 
 @pytest.mark.parametrize("spec", [

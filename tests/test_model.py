@@ -14,6 +14,7 @@ import simplexcolor.model as model_module
 from simplexcolor.coloring import color, peel, save_certificate
 from simplexcolor.errors import InputError
 from simplexcolor.generators import GeneratorSpec, generate
+from simplexcolor.geometry import orientation
 from simplexcolor.model import (
     COMBINATORIAL,
     GEOMETRIC_STRICT,
@@ -102,6 +103,13 @@ class TestVertexCoordinates:
                    for c in forms)
         assert len(set(forms)) == 1
         assert Complex(2, ((1, 2),), ()) != Complex(2, ((1, Fraction(5, 2)),), ())
+
+    def test_boolean_coordinate_refused(self):
+        # bool is an int subclass: read as a number, True would become 1.
+        with pytest.raises(InputError, match=r"^cannot interpret True as a rational number$"):
+            Complex(2, ((True, 0), (1, 0), (0, 1)), ((0, 1, 2),))
+        with pytest.raises(InputError, match=r"^cannot interpret True as a rational number$"):
+            orientation([(True, False), (1, 0), (0, 1)], 2)
 
 
 class TestValueClasses:
