@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 
 from .dual import build_dual
-from .errors import ColoringError, InputError, InvariantError, UnrealizableComplexError
+from .errors import InputError, InvariantError, UnrealizableComplexError
 from .geometry import _is_int, extreme_point, hull_normal
-from .model import Coloring, Complex, Facet, _all_ints, _naming, _read_json, _write_json
+from .model import (Coloring, Complex, Facet, _all_ints, _check_length, _naming, _read_json,
+                    _write_json)
 
 COMBINATORIAL = "combinatorial"
 GEOMETRIC = "geometric"
@@ -299,11 +300,7 @@ def color(c: Complex, cert: PeelCertificate) -> Coloring:
 def verify_coloring(c: Complex, col: Coloring):
     """True plus empty list iff all colors lie in {0..d} and every pair of
     facet-sharing simplices differs; otherwise False plus violations."""
-    n = len(c.simplices)
-    if len(col.colors) != n:
-        raise ColoringError(
-            f"coloring has {len(col.colors)} entries for {n} simplices"
-        )
+    _check_length(c, col)
     violations = []
     d = c.dimension
     colors = col.colors
@@ -388,28 +385,6 @@ class _Dsatur:
             self._push(w)
 
 
-def _max_clique_size(g: tuple[tuple[int, ...], ...]) -> int:
-    n = len(g)
-    best = 1 if n else 0
-    nbrs = list(map(set, g))
-
-    def grow(current: int, candidates: set[int]):
-        nonlocal best
-        if current + len(candidates) <= best:
-            return
-        if not candidates:
-            best = max(best, current)
-            return
-        for v in sorted(candidates):
-            candidates = candidates - {v}
-            grow(current + 1, candidates & nbrs[v])
-            if current + len(candidates) <= best:
-                return
-
-    grow(0, set(range(n)))
-    return best
-
-
 def _try_k_coloring(g: tuple[tuple[int, ...], ...], k: int):
     """A proper k-coloring, or None after exhausting the search tree.
 
@@ -443,32 +418,16 @@ def _try_k_coloring(g: tuple[tuple[int, ...], ...], k: int):
 
 
 def exact_chromatic(g: tuple[tuple[int, ...], ...], node_limit: int = 40) -> OracleResult:
-    """Exact chromatic number by branch and bound.
-
-    Lower bound from a maximum clique, upper bound from greedy coloring;
-    the minimum feasible k in between is found by exhaustive backtracking,
-    and infeasibility of k-1 is certified the same way.
+    """Exact chromatic number: the least k for which the exhaustive DSATUR
+    search finds a k-coloring, tried upward from k = 0, with that search's
+    coloring.  Every search below it has failed, which proves the optimum.
     """
     n = len(g)
     if n > node_limit:
         raise InputError(
             f"graph has {n} nodes, above the oracle limit {node_limit}"
         )
-    if n == 0:
-        return OracleResult(0, Coloring(()))
-    # DSATUR's greedy coloring: with as many colors as nodes the search
-    # never backtracks, and each pick takes its smallest free color.
-    greedy = _try_k_coloring(g, n)
-    upper = max(greedy) + 1
-    lower = _max_clique_size(g)
-    best = greedy
-    chi = upper
-    for k in range(lower, upper):
-        sol = _try_k_coloring(g, k)
-        if sol is not None:
-            best, chi = sol, k
-            break
-    # Certify optimality by exhausting the search for one color fewer.
-    if chi > 1 and _try_k_coloring(g, chi - 1) is not None:
-        raise InvariantError("chromatic search found an improvement during certification")
-    return OracleResult(chi, Coloring(tuple(best)))
+    k = 0
+    while (sol := _try_k_coloring(g, k)) is None:
+        k += 1
+    return OracleResult(k, Coloring(tuple(sol)))

@@ -134,11 +134,10 @@ def analyze_max_clique_configuration(c: Complex, clique: list[int]) -> CliqueRep
     if not vertex_count_ok:
         return CliqueReport(tuple(sorted(clique)), frozenset(union), False, False)
 
-    # The apex is the one vertex every clique simplex contains.
-    common = set.intersection(*id_sets.values())
-    if len(common) != 1:
-        return CliqueReport(tuple(sorted(clique)), frozenset(union), True, False)
-    apex = next(iter(common))
+    # The apex is the one vertex every clique simplex contains: each simplex
+    # leaves out one of the d + 2 vertices, no two the same one (they share
+    # exactly d), so exactly one vertex is left out by none.
+    (apex,) = set.intersection(*id_sets.values())
 
     first = min(clique)
     base_ids = sorted(id_sets[first] - {apex})

@@ -25,6 +25,7 @@ from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple
 
 from .errors import InputError, InvariantError
+from .geometry import _is_int
 from .model import Complex
 
 FAN = "fan"
@@ -105,6 +106,9 @@ def _vertex_count(spec: GeneratorSpec) -> int:
 
 
 def generate(spec: GeneratorSpec) -> Complex:
+    for field in ("dimension", "size", "seed"):
+        if not _is_int(getattr(spec, field)):
+            raise InputError(f"{field!r} must be an integer")
     kind, d, size = _TABLE.get(spec.kind), spec.dimension, spec.size
     if kind is None:
         raise InputError(f"unknown generator kind {spec.kind!r}")

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import prod
 from operator import ge, lt, mul
 
-from .errors import InputError, shorten
+from .errors import ColoringError, InputError, shorten
 from .geometry import (_cone_nonzero, _exact, _is_int, _quotient, facet_normal,
                        homogeneous_orientation, homogeneous_row, rational)
 
@@ -90,6 +90,8 @@ class Complex:
     simplices: tuple[Simplex, ...]
 
     def __post_init__(self):
+        if not _is_int(self.dimension):
+            raise InputError("'dimension' must be an integer")
         object.__setattr__(self, "vertices", tuple(map(_exact, self.vertices)))
         simplices = []
         for i, s in enumerate(self.simplices):
@@ -184,6 +186,15 @@ class Coloring:
             object.__setattr__(self, "colors", tuple(self.colors))
         if not _all_ints(self.colors):
             raise InputError("colors must be integers")
+
+
+def _check_length(c: Complex, col: Coloring) -> None:
+    """Refuse a coloring without exactly one entry per simplex: the one rule
+    for verification and rendering."""
+    if len(col.colors) != len(c.simplices):
+        raise ColoringError(
+            f"coloring has {len(col.colors)} entries for {len(c.simplices)} simplices"
+        )
 
 
 @dataclass(frozen=True)
@@ -528,11 +539,8 @@ def complex_from_dict(data: dict) -> Complex:
     for key in ("dimension", "vertices", "simplices"):
         if not isinstance(data, dict) or key not in data:
             raise InputError(f"complex JSON is missing the {key!r} field")
-    d = data["dimension"]
-    if not _is_int(d):
-        raise InputError("'dimension' must be an integer")
     try:
-        return Complex(d, _rows(data, "vertices"), _rows(data, "simplices"))
+        return Complex(data["dimension"], _rows(data, "vertices"), _rows(data, "simplices"))
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad complex JSON: {shorten(str(exc))}") from exc
 

@@ -15,7 +15,7 @@ from math import lcm
 
 from .dual import build_dual
 from .errors import ColoringError, InputError, shorten
-from .model import Coloring, Complex
+from .model import Coloring, Complex, _check_length
 
 DEFAULT_PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2",
@@ -62,8 +62,7 @@ def render_svg(c: Complex, coloring: Coloring | None = None,
         raise InputError("nothing to render: complex has no simplices")
     dual = build_dual(c)  # rejects an overglued facet, as every command does
     if coloring is not None:
-        if len(coloring.colors) != len(c.simplices):
-            raise ColoringError("coloring length does not match simplex count")
+        _check_length(c, coloring)
         n = len(options.palette)
         for i, k in enumerate(coloring.colors):
             if not 0 <= k < n:

@@ -222,6 +222,12 @@ class TestColorVerify:
         assert run("verify", fan_file, str(bad)) == 2
         assert capsys.readouterr().err == f"error: {bad}: 'colors' must be a list of integers\n"
 
+    def test_verify_color_out_of_range_exit_4(self, fan_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"colors": [0, 1, 7]}')
+        assert run("verify", fan_file, str(bad)) == 4
+        assert capsys.readouterr().err == "color out of range: simplex 2 has color 7\n"
+
     @pytest.mark.parametrize("command, colors", [
         ("verify", [0, 1]),
         ("render", [0, 1]),
@@ -272,7 +278,10 @@ class TestColorVerify:
         ("OFF\n-1 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n", "2: negative vertex or face count"),
         ("OFF\n3 -1 0\n0 0\n1 0\n0 1\n3 0 1 2\n", "2: negative vertex or face count"),
         ("OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1\n", "6: face lists 2 of its 3 vertex ids"),
-    ], ids=["vertex-count", "face-count", "short-face"])
+        ("OFF\n# header only\n", " truncated OFF file"),
+        ("OFF\n3 x 0\n0 0\n1 0\n0 1\n3 0 1 2\n", "2: bad counts line"),
+        ("OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 2 0\n", "6: face repeats a vertex"),
+    ], ids=["vertex-count", "face-count", "short-face", "truncated", "bad-counts", "repeated-vertex"])
     def test_bad_off_counts_exit_2(self, tmp_path, capsys, content, message):
         bad = tmp_path / "bad.off"
         bad.write_text(content)
@@ -449,6 +458,15 @@ class TestRender:
         assert run("render", src, "-o", out1, "--show-dual") == 0
         assert run("render", src, "-o", out2, "--show-dual") == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_wrong_length_coloring_exit_2(self, fan_file, tmp_path, capsys):
+        # The same rule and message as verify's.
+        col_path = tmp_path / "short.json"
+        col_path.write_text('{"colors": [0, 1]}')
+        svg_path = tmp_path / "x.svg"
+        assert run("render", fan_file, "--coloring", str(col_path), "-o", str(svg_path)) == 2
+        assert capsys.readouterr().err == f"error: {col_path}: coloring has 2 entries for 3 simplices\n"
+        assert not svg_path.exists()
 
     def test_negative_color_exit_2(self, fan_file, tmp_path, capsys):
         col_path = tmp_path / "neg.json"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,7 +10,6 @@ from simplexcolor import coloring
 from simplexcolor.coloring import (
     COMBINATORIAL,
     OracleResult,
-    _max_clique_size,
     _try_k_coloring,
     GEOMETRIC,
     PeelCertificate,
@@ -295,6 +295,17 @@ def test_long_certificate_facet_is_not_echoed(tmp_path):
     assert message.startswith(f"{p}: ") and message.count(str(p)) == 1 and len(message) < 1000
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"steps": []}, "method"), ({"method": "combinatorial"}, "steps"), ([], "method"),
+])
+def test_certificate_missing_field_named(tmp_path, data, field):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(data))
+    message = f"{p}: certificate JSON is missing the {field!r} field"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_certificate(str(p))
+
+
 @pytest.mark.parametrize("steps", [
     "xx", [[0]], [[0, [1, 2], 3]], [[0.5, [1, 2]]], [[True, [1, 2]]],
     [[0, [1, 2.0]]], [[0, [False, 1]]], [[0, "12"]], [[0, [2, 1]]], 7,
@@ -492,13 +503,40 @@ def _ref_try_k_coloring(g, k):
         start = col + 1
 
 
+def _ref_max_clique_size(g):
+    """The maximum clique size by branch and bound: the lower bound the
+    reference oracle starts its k-loop from."""
+    n = len(g)
+    best = 1 if n else 0
+    nbrs = list(map(set, g))
+
+    def grow(current: int, candidates: set[int]):
+        nonlocal best
+        if current + len(candidates) <= best:
+            return
+        if not candidates:
+            best = max(best, current)
+            return
+        for v in sorted(candidates):
+            candidates = candidates - {v}
+            grow(current + 1, candidates & nbrs[v])
+            if current + len(candidates) <= best:
+                return
+
+    grow(0, set(range(n)))
+    return best
+
+
 def _ref_exact_chromatic(g):
+    """The reference oracle: the greedy DSATUR coloring as the upper bound,
+    the clique bound as the lower, and the least k in between that the
+    search can color, else the greedy coloring."""
     n = len(g)
     if n == 0:
         return OracleResult(0, Coloring(()))
     best = _ref_greedy_dsatur(g)
     chi = max(best) + 1
-    for k in range(_max_clique_size(g), chi):
+    for k in range(_ref_max_clique_size(g), chi):
         sol = _ref_try_k_coloring(g, k)
         if sol is not None:
             best, chi = sol, k
@@ -526,10 +564,12 @@ def random_graph(rng):
     return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
 
-def test_dsatur_heap_matches_scan_reference(monkeypatch):
+def test_dsatur_heap_matches_scan_reference(monkeypatch, build_corpus):
     """Greedy DSATUR, every k-coloring search (k = 0..5) and the exact
     chromatic number agree exactly with the node-scan selection, also
-    after the heap has rebuilt itself mid-search."""
+    after the heap has rebuilt itself mid-search.  The exact chromatic
+    number and its coloring also agree with the reference on every
+    acceptance-corpus dual of at most 48 nodes."""
     counts = {"states": 0, "rebuilds": 0}
     init, rebuild = coloring._Dsatur.__init__, coloring._Dsatur._rebuild
 
@@ -555,6 +595,10 @@ def test_dsatur_heap_matches_scan_reference(monkeypatch):
         assert exact_chromatic(g) == _ref_exact_chromatic(g), g
     assert outcomes == {True, False}
     assert counts["rebuilds"] > counts["states"]
+    duals = [build_dual(c) for _, _, _, c in build_corpus() if len(c.simplices) <= 48]
+    assert len(duals) == 24 and max(map(len, duals)) == 48
+    for g in duals:
+        assert exact_chromatic(g, node_limit=48) == _ref_exact_chromatic(g), g
 
 
 def test_dsatur_pick_matches_scan_under_undo():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,6 +7,7 @@ import pytest
 from simplexcolor.errors import InputError
 from simplexcolor.geometry import Hyperplane, side_of
 from simplexcolor.dual import (
+    CliqueReport,
     analyze_max_clique_configuration,
     build_dual,
     find_all_cliques,
@@ -278,6 +280,26 @@ class TestAnalyzeKd1:
     def test_wrong_size_rejected(self):
         with pytest.raises(InputError):
             analyze_max_clique_configuration(fan_k3(), [0, 1])
+
+    @pytest.mark.parametrize("verts, clique, message", [
+        (None, [0, 0, 1], "expected 3 distinct simplex indices, got [0, 0, 1]"),
+        (None, [0, 1, 3], "simplex index 3 out of range"),
+        (None, [-1, 0, 1], "simplex index -1 out of range"),
+        # Vertices 1 and 2 coincide, so the base facet (1, 2) spans no line.
+        (((0, 0), (2, 0), (2, 0), (-1, -2)), [0, 1, 2], "vertices [1, 2] do not span a hyperplane"),
+    ], ids=["repeated-index", "index-past-end", "negative-index", "flat-base"])
+    def test_refusal_messages(self, verts, clique, message):
+        c = fan_k3() if verts is None else Complex(2, verts, fan_k3().simplices)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            analyze_max_clique_configuration(c, clique)
+
+    def test_clique_on_one_edge_fails_the_vertex_count(self):
+        # Three triangles on the edge (0, 1) are pairwise glued, so they form
+        # a K_3, but they span five vertices; the side test is not reached.
+        verts = ((0, 0), (1, 0), (0, 1), (1, 1), (0, -1))
+        c = Complex(2, verts, ((0, 1, 2), (0, 1, 3), (0, 1, 4)))
+        rep = analyze_max_clique_configuration(c, [2, 0, 1])
+        assert rep == CliqueReport((0, 1, 2), frozenset(range(5)), False, False)
 
 
 def _edges(g):

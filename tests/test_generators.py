@@ -311,6 +311,12 @@ def test_unknown_kind():
      f"simplices or {MAX_ENTRIES} vertex coordinates and ids (the generator cap)"),
     # An unknown kind is named before the cap, which cannot count its simplices.
     (GeneratorSpec("moebius", 2, 10**9), "unknown generator kind 'moebius'"),
+    # Integer fields are judged first: a bool or float is not read as a number.
+    (GeneratorSpec(PATH, True, True), "'dimension' must be an integer"),
+    (GeneratorSpec(PATH, 2, 2.5), "'size' must be an integer"),
+    (GeneratorSpec(FAN, 2, "5"), "'size' must be an integer"),
+    (GeneratorSpec(DELAUNAY2D, 2, 10, "x"), "'seed' must be an integer"),
+    (GeneratorSpec("moebius", 2.0, 10**9), "'dimension' must be an integer"),
 ])
 def test_single_fault_refusal_messages(spec, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):

@@ -87,6 +87,18 @@ class TestStructure:
         with pytest.raises(InputError):
             Complex(2, ((0, 0, 0),), ())
 
+    @pytest.mark.parametrize("d, simplices, message", [
+        # The dimension is judged first, before any vertex is read.
+        (True, ((0, 1, 2),), "'dimension' must be an integer"),
+        (2.0, ((0, 1, 2),), "'dimension' must be an integer"),
+        ("2", ((0, 1, 2),), "'dimension' must be an integer"),
+        (0, ((0, 1, 2),), "dimension must be >= 1, got 0"),
+        (2, ((0, 1, 2), (0, 1)), "simplex 1 has 2 vertices, expected 3"),
+    ], ids=["bool", "float", "string", "zero", "short-simplex"])
+    def test_refusal_messages(self, d, simplices, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Complex(d, ((0, 0), (1, 0), (0, 1)), simplices)
+
 
 class TestVertexCoordinates:
     def test_integral_coordinates_stored_as_int(self):
@@ -248,6 +260,14 @@ class TestValidate:
             i.code for i in strict.issues if i.code != "interior-overlap"
         }
         assert comb_codes == strict_comb_codes
+
+    def test_summary(self):
+        assert validate(unit_triangle()).summary() == "combinatorial: ok"
+        c = Complex(2, ((0, 0), (1, 0), (2, 0), (1, 0)), ((0, 1, 2),))
+        assert validate(c, GEOMETRIC_STRICT).summary() == (
+            "geometric-strict: 2 issue(s)\n"
+            "  [coincident-vertices] vertices 1 and 3 share coordinates\n"
+            "  [degenerate-simplex] simplex 0 is affinely degenerate")
 
     def test_unknown_level_rejected(self):
         with pytest.raises(InputError):
@@ -466,6 +486,13 @@ class TestSerialization:
         p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 1\n3 0 1 2\n")
         with pytest.raises(InputError, match="planar"):
             load(str(p))
+
+    def test_off_export_refuses_other_dimensions(self, tmp_path):
+        path = tmp_path / "t.off"
+        c = Complex(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2, 3),))
+        with pytest.raises(InputError, match="^OFF export supports only dimension-2 complexes$"):
+            save(c, str(path))
+        assert not path.exists()
 
     def test_off_round_trip(self, tmp_path):
         c = two_glued_triangles()
