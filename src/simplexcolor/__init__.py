@@ -17,7 +17,6 @@ from .coloring import (
     TraceStep,
     color,
     exact_chromatic,
-    find_exposed_geometric,
     load_certificate,
     peel,
     save_certificate,
@@ -92,7 +91,6 @@ __all__ = [
     "extreme_point",
     "find_all_cliques",
     "find_clique",
-    "find_exposed_geometric",
     "generate",
     "load",
     "load_certificate",

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 
-from .dual import build_dual
+from .dual import _components, build_dual
 from .errors import InputError, InvariantError, UnrealizableComplexError
 from .geometry import _is_int, extreme_point, hull_normal
 from .model import (Coloring, Complex, Facet, _all_ints, _check_length, _naming, _read_json,
@@ -179,16 +179,6 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int],
         work = new_work
 
 
-def find_exposed_geometric(c: Complex):
-    """The exposed simplex the nested-hull descent finds in the whole
-    complex, recomputed from scratch: the reference for the geometric peel.
-
-    Returns (simplex index, exposed facet, trace), where the trace records
-    the strictly decreasing sizes of the nested working sets.
-    """
-    return _find_exposed_geometric(c, list(range(len(c.simplices))))
-
-
 # ---------------------------------------------------------------------------
 # Peeling
 
@@ -278,22 +268,24 @@ def peel(c: Complex, method: str = COMBINATORIAL) -> PeelCertificate:
 
 
 def color(c: Complex, cert: PeelCertificate) -> Coloring:
-    """Replay the certificate backwards, greedily assigning the smallest
-    color in {0..d} not used by an already-colored neighbor."""
+    """Replay the certificate backwards, giving each simplex the smallest
+    color its colored neighbors leave free.  A step must remove an uncolored
+    simplex through a facet of it that no simplex removed later shares, else
+    InputError; so at most d neighbors are colored and a color in {0..d} is free."""
     n = len(c.simplices)
-    if sorted(i for i, _ in cert.steps) != list(range(n)):
+    if len(cert.steps) != n:
         raise InputError("certificate does not cover the complex exactly once")
     adjacency = build_dual(c)
-    d = c.dimension
+    owners = c.facet_owners
+    free = set(range(c.dimension + 1))
     colors = [-1] * n
-    for i, _witness in reversed(cert.steps):
-        used = {colors[j] for j in adjacency[i] if colors[j] >= 0}
-        chosen = next(k for k in range(d + 2) if k not in used)
-        if chosen > d:
-            raise InvariantError(
-                f"simplex {i} saw {len(used)} colored neighbors; certificate is not a peel order"
-            )
-        colors[i] = chosen
+    for t, (i, witness) in enumerate(reversed(cert.steps)):
+        # One or two owners, in 0..n-1, so an index outside it owns none.
+        own = owners.get(witness.vertex_ids, ())
+        if i not in own or colors[own[0]] >= 0 or colors[own[-1]] >= 0:
+            raise InputError(f"certificate step {n - 1 - t} does not remove simplex {i} "
+                             f"through an exposed facet {witness.vertex_ids}")
+        colors[i] = min(free - {colors[j] for j in adjacency[i]})
     return Coloring(tuple(colors))
 
 
@@ -307,15 +299,12 @@ def verify_coloring(c: Complex, col: Coloring):
     for i, k in enumerate(colors):
         if not 0 <= k <= d:
             violations.append(("color-range", i, k))
-    # Each edge once, as (i, j) with i < j, in order of i, then j.
-    conflicts = [(i, j) for i, nbrs in enumerate(build_dual(c))
-                 for j in nbrs if i < j and colors[j] == colors[i]]
-    # Each conflict names the facet the pair shares; two identical
-    # simplices are listed once per facet, in increasing order.
-    for (i, j), _ in groupby(conflicts):
-        ids = set(c.simplices[j].vertex_ids)
-        violations += [("conflict", i, j, f) for f in sorted(c.simplices[i].facet_ids())
-                       if ids.issuperset(f)]
+    build_dual(c)  # refuses an overglued facet
+    # One conflict per glued facet whose owners i < j share a color, by i,
+    # then j, then facet: identical simplices conflict once per facet.
+    violations += [("conflict", i, j, f) for (i, j), f in sorted(
+        (own, f) for f, own in c.facet_owners.items()
+        if len(own) == 2 and colors[own[0]] == colors[own[1]])]
     return not violations, violations
 
 
@@ -421,6 +410,11 @@ def exact_chromatic(g: tuple[tuple[int, ...], ...], node_limit: int = 40) -> Ora
     """Exact chromatic number: the least k for which the exhaustive DSATUR
     search finds a k-coloring, tried upward from k = 0, with that search's
     coloring.  Every search below it has failed, which proves the optimum.
+
+    On a disconnected graph k is first raised one component at a time, each
+    searched on its own from the running k, so a failing search never
+    backtracks through the other components; the whole graph is then
+    searched once, at that k.
     """
     n = len(g)
     if n > node_limit:
@@ -428,6 +422,13 @@ def exact_chromatic(g: tuple[tuple[int, ...], ...], node_limit: int = 40) -> Ora
             f"graph has {n} nodes, above the oracle limit {node_limit}"
         )
     k = 0
+    components = _components(g)
+    if len(components) > 1:
+        for nodes in components:
+            label = {v: t for t, v in enumerate(nodes)}
+            sub = tuple(tuple(label[w] for w in g[v]) for v in nodes)
+            while _try_k_coloring(sub, k) is None:
+                k += 1
     while (sol := _try_k_coloring(g, k)) is None:
         k += 1
     return OracleResult(k, Coloring(tuple(sol)))

@@ -50,30 +50,34 @@ def stats(g: tuple[tuple[int, ...], ...], d: int) -> GraphStats:
     4 <= r <= max_degree+1; outside that range the greedy bound
     max_degree+1 is reported instead.
     """
-    n = len(g)
     max_degree = max(map(len, g), default=0)
-
-    components = 0
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for w in g[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-
+    components = len(_components(g))
     r = d + 2
     exclusion_bound = None
     if 4 <= r <= max_degree + 1:
         exclusion_bound = (r - 1) * (max_degree + 2) // r
     upper = exclusion_bound if exclusion_bound is not None else max_degree + 1
     return GraphStats(max_degree, components, upper, exclusion_bound)
+
+
+def _components(g: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """The node lists of the connected components, in order of their least
+    node; each list in search order."""
+    seen = [False] * len(g)
+    components = []
+    for start in range(len(g)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component, stack = [start], [start]
+        while stack:
+            for w in g[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+                    stack.append(w)
+        components.append(component)
+    return components
 
 
 def _is_clique(g: tuple[tuple[int, ...], ...], nodes: tuple[int, ...]) -> bool:

@@ -9,16 +9,18 @@ big instance, for the color pipeline, for the geometric peel and for
 strict validation.
 """
 
+import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import pytest
 
 from simplexcolor.coloring import (
     COMBINATORIAL,
     GEOMETRIC,
+    PeelCertificate,
     _find_exposed_geometric,
     color,
     exact_chromatic,
@@ -32,6 +34,7 @@ from simplexcolor.dual import (
     find_clique,
     stats,
 )
+from simplexcolor.errors import InputError
 from simplexcolor.generators import (
     BOUNDARY_ABSTRACT,
     CLOSED_FAN,
@@ -43,7 +46,9 @@ from simplexcolor.generators import (
 )
 from simplexcolor.model import (
     GEOMETRIC_STRICT,
+    Coloring,
     Complex,
+    Facet,
     Simplex,
     complex_to_dict,
     load,
@@ -171,8 +176,8 @@ def _replay_certificate(c, cert):
     mult = Counter(f for s in c.simplices for f in combinations(s.vertex_ids, d))
     removed = set()
     for i, witness in cert.steps:
+        assert 0 <= i < len(c.simplices) and i not in removed, i
         ids = c.simplices[i].vertex_ids
-        assert i not in removed, i
         assert len(witness.vertex_ids) == d and set(witness.vertex_ids) <= set(ids), (i, witness)
         assert mult[witness.vertex_ids] == 1, (i, witness)
         removed.add(i)
@@ -219,6 +224,118 @@ def test_geometric_peel_at_scale(corpus):
         ok, violations = verify_coloring(c, col)
         assert ok and max(col.colors) <= d, (label, violations)
     print("PASS geometric peel at scale: " + ", ".join(times))
+
+
+def _replays(c, cert):
+    try:
+        _replay_certificate(c, cert)
+    except AssertionError:
+        return False
+    return True
+
+
+def _mutated(c, steps, kind, rng):
+    """One mutation of a certificate of at least two steps, at a random
+    position."""
+    steps = list(steps)
+    n = len(steps)
+    t = rng.randrange(n)
+    i, witness = steps[t]
+    if kind == "swap":
+        t = min(t, n - 2)
+        steps[t], steps[t + 1] = steps[t + 1], steps[t]
+    elif kind == "witness":
+        # Another facet, most often of the same simplex.
+        owner = i if rng.random() < 0.7 else rng.randrange(len(c.simplices))
+        steps[t] = (i, Facet(rng.choice(c.simplices[owner].facet_ids())))
+    elif kind == "drop":
+        del steps[t]
+    elif kind == "repeat":
+        steps.insert(t, steps[t])
+    elif kind == "repeat-over":
+        steps[rng.choice([u for u in range(n) if u != t])] = steps[t]
+    elif kind == "negative":
+        steps[t] = (i - n, witness)
+    elif kind == "past-end":
+        steps[t] = (i + n, witness)
+    return tuple(steps)
+
+
+MUTATIONS = ("swap", "witness", "drop", "repeat", "repeat-over", "negative", "past-end")
+
+
+def test_color_accepts_exactly_the_replayed_certificates(corpus):
+    """`color` checks each step through the facet index; the test-local
+    replay recounts facet multiplicities from scratch.  On both peels'
+    certificates of every corpus instance of 2 to 200 simplices, and on
+    mutations of them (adjacent steps swapped, a witness replaced, a step
+    dropped or repeated, a negative or out-of-range index), `color`
+    accepts exactly what the replay accepts, and every accepted coloring
+    verifies with at most d + 1 colors."""
+    rng = random.Random(28)
+    tally = Counter()
+    for label, _kind, d, c in corpus:
+        if not 2 <= len(c.simplices) <= 200:
+            continue
+        for method in (COMBINATORIAL, GEOMETRIC):
+            cert = peel(c, method)
+            cases = [("peel", cert.steps)] + [
+                (kind, _mutated(c, cert.steps, kind, rng)) for kind in MUTATIONS for _ in range(3)]
+            for kind, steps in cases:
+                forged = PeelCertificate(steps, method)
+                replayed = _replays(c, forged)
+                try:
+                    col = color(c, forged)
+                except InputError:
+                    col = None
+                assert (col is not None) == replayed, (label, method, kind, steps)
+                if col is not None:
+                    ok, violations = verify_coloring(c, col)
+                    assert ok and max(col.colors) <= d, (label, violations)
+                tally[kind, replayed] += 1
+    assert tally["peel", True] >= 80 and not tally["peel", False], tally
+    # Swaps and witness changes can keep a certificate valid, so both
+    # answers occur; the other mutations never do.
+    for kind in ("swap", "witness"):
+        assert tally[kind, True] and tally[kind, False], (kind, tally)
+    for kind in ("drop", "repeat", "repeat-over", "negative", "past-end"):
+        assert tally[kind, False] and not tally[kind, True], (kind, tally)
+    print(f"PASS certificate check: {sum(tally.values())} certificates, "
+          f"{sum(v for (_, ok), v in tally.items() if ok)} accepted")
+
+
+def _conflicts_by_dual_edges(c, colors):
+    """verify_coloring's conflict list as it was built before it read the
+    facet index: each dual edge i < j once, then the facets of i that j
+    contains, in increasing order."""
+    conflicts = [(i, j) for i, nbrs in enumerate(build_dual(c))
+                 for j in nbrs if i < j and colors[j] == colors[i]]
+    out = []
+    for (i, j), _ in groupby(conflicts):
+        ids = set(c.simplices[j].vertex_ids)
+        out += [("conflict", i, j, f) for f in sorted(c.simplices[i].facet_ids())
+                if ids.issuperset(f)]
+    return out
+
+
+def test_verify_conflicts_match_the_dual_edge_enumeration(corpus):
+    """On random colorings of corpus instances up to 1000 simplices, and of
+    two identical simplices, verify_coloring lists the same violations, in
+    the same order, as the enumeration over dual edges."""
+    rng = random.Random(2028)
+    instances = [c for _label, _kind, _d, c in corpus if len(c.simplices) <= 1000]
+    instances.append(Complex(2, ((0, 0), (1, 0), (0, 1)), ((0, 1, 2), (0, 1, 2))))
+    checked = 0
+    for c in instances:
+        d = c.dimension
+        for top in (2, d + 1, d + 3):
+            colors = [rng.randrange(top) for _ in c.simplices]
+            expected = [("color-range", i, k) for i, k in enumerate(colors) if k > d]
+            expected += _conflicts_by_dual_edges(c, colors)
+            ok, violations = verify_coloring(c, Coloring(tuple(colors)))
+            assert violations == expected and ok == (not expected)
+            checked += bool(expected)
+    assert checked > len(instances)
 
 
 def test_strict_validation_of_large_planar_instances(corpus):

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from simplexcolor import cli
 from simplexcolor.cli import main
+from simplexcolor.errors import InvariantError
 from simplexcolor.generators import MAX_ENTRIES, GeneratorSpec, generate
 from simplexcolor.model import load, save
 from simplexcolor.render import RenderOptions, render_svg
@@ -363,6 +365,17 @@ class TestErrorBoundary:
         assert capsys.readouterr().err == (
             f"error: {bad}: invalid complex: facet (0, 1) shared by 3 simplices\n")
         assert not (tmp_path / "x.svg").exists()
+
+    def test_internal_error_exits_2(self, fan_file, tmp_path, capsys, monkeypatch):
+        # A broken invariant inside the library is reported as an internal
+        # error, not as a fault of the input, and writes nothing.
+        def broken_peel(c, method):
+            raise InvariantError("peel lost a simplex")
+
+        monkeypatch.setattr(cli, "peel", broken_peel)
+        assert run("color", fan_file, "-o", str(tmp_path / "c.json")) == 2
+        assert capsys.readouterr().err == "internal error: peel lost a simplex\n"
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestAnalyze:

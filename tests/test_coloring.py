@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -10,6 +11,7 @@ from simplexcolor import coloring
 from simplexcolor.coloring import (
     COMBINATORIAL,
     OracleResult,
+    _find_exposed_geometric,
     _try_k_coloring,
     GEOMETRIC,
     PeelCertificate,
@@ -18,7 +20,6 @@ from simplexcolor.coloring import (
     color,
     load_certificate,
     exact_chromatic,
-    find_exposed_geometric,
     peel,
     verify_coloring,
 )
@@ -177,14 +178,15 @@ class TestFindExposedCombinatorial:
 
 class TestFindExposedGeometric:
     def test_single_simplex_trace(self):
-        i, f, trace = find_exposed_geometric(unit_triangle())
+        c = unit_triangle()
+        i, f, trace = _find_exposed_geometric(c, list(range(len(c.simplices))))
         assert i == 0
         assert len(trace) == 1
         assert trace[0].subset_size == 1
 
     def test_fan(self):
         c = fan_k3()
-        i, f, trace = find_exposed_geometric(c)
+        i, f, trace = _find_exposed_geometric(c, list(range(len(c.simplices))))
         assert len(c.facet_owners[f.vertex_ids]) == 1
         assert trace[0].anchor_ids == (3,)  # lex-min vertex is (-1, -2)
 
@@ -200,7 +202,7 @@ class TestFindExposedGeometric:
             (Simplex((0, 1, 2)), Simplex((0, 2, 3)), Simplex((4, 5, 6))),
         )
         assert validate(c, GEOMETRIC_STRICT).ok
-        i, f, trace = find_exposed_geometric(c)
+        i, f, trace = _find_exposed_geometric(c, list(range(len(c.simplices))))
         assert i in (0, 1)
         assert 0 in f.vertex_ids
         assert len(c.facet_owners[f.vertex_ids]) == 1
@@ -208,7 +210,7 @@ class TestFindExposedGeometric:
     def test_pinwheel_recurses(self):
         c = pinwheel()
         assert validate(c, GEOMETRIC_STRICT).ok
-        i, f, trace = find_exposed_geometric(c)
+        i, f, trace = _find_exposed_geometric(c, list(range(len(c.simplices))))
         assert len(trace) >= 2
         sizes = [t.subset_size for t in trace]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
@@ -219,8 +221,13 @@ class TestFindExposedGeometric:
         assert trace[1].subset_size == 2
 
     def test_abstract_boundary_unrealizable(self):
+        c = tetra_boundary_in_plane()
         with pytest.raises(UnrealizableComplexError):
-            find_exposed_geometric(tetra_boundary_in_plane())
+            _find_exposed_geometric(c, list(range(len(c.simplices))))
+
+    def test_nothing_alive(self):
+        with pytest.raises(InputError, match="^empty complex has no exposed simplex$"):
+            _find_exposed_geometric(unit_triangle(), [])
 
 
 class TestPeel:
@@ -348,6 +355,43 @@ class TestColor:
         c = two_glued()
         cert = PeelCertificate(((0, Facet((0, 1))),), COMBINATORIAL)
         with pytest.raises(InputError):
+            color(c, cert)
+
+    @pytest.mark.parametrize("method", [COMBINATORIAL, GEOMETRIC])
+    def test_forged_certificates_refused(self, method):
+        # Every witness set to the first step's facet, and the peel order
+        # reversed.  The reverse pass names the last bad step in peel order.
+        c = closed_fan(RING6)
+        cert = peel(c, method)
+        assert verify_coloring(c, color(c, cert))[0]
+        first = cert.steps[0][1]
+        same_witness = PeelCertificate(tuple((i, first) for i, _ in cert.steps), method)
+        with pytest.raises(InputError, match=rf"^certificate step 5 does not remove simplex "
+                                             rf"{cert.steps[5][0]} through an exposed facet "
+                                             rf"{re.escape(str(first.vertex_ids))}$"):
+            color(c, same_witness)
+        with pytest.raises(InputError, match=r"^certificate step 4 does not remove simplex "):
+            color(c, PeelCertificate(cert.steps[::-1], method))
+
+    @pytest.mark.parametrize("steps, bad", [
+        (((0, (0, 1)), (1, (0, 3))), 1),    # a facet no simplex owns
+        (((0, (0, 1)), (1, (0, 1))), 1),    # simplex 0's facet
+        (((0, (0, 1)), (-1, (1, 2))), 1),   # simplex 1 by negative indexing
+        (((0, (0, 1)), (2, (1, 2))), 1),    # past the end
+        (((0, (0, 2)), (0, (0, 2))), 0),    # simplex 0 twice
+        (((1, (1, 2)), (0, (0, 1))), 0),    # shared with simplex 0, removed later
+    ], ids=["unowned-facet", "other-simplex-facet", "negative-index", "index-past-end",
+            "repeated-simplex", "facet-shared-with-a-later-step"])
+    def test_bad_step_refused(self, steps, bad):
+        # two_glued is removed through (0, 1), then through any facet; the
+        # two triangles share (1, 2).
+        c = two_glued()
+        valid = PeelCertificate(((0, Facet((0, 1))), (1, Facet((1, 2)))), COMBINATORIAL)
+        assert color(c, valid).colors == (1, 0)
+        cert = PeelCertificate(tuple((i, Facet(f)) for i, f in steps), COMBINATORIAL)
+        i, f = steps[bad]
+        message = f"certificate step {bad} does not remove simplex {i} through an exposed facet {f}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             color(c, cert)
 
 
@@ -564,6 +608,15 @@ def random_graph(rng):
     return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
 
+def cubes_and_triangle(m):
+    """m disjoint cube graphs (the duals of closed octahedra) followed by a
+    triangle: chromatic number 3, which only the last component needs."""
+    cubes = [tuple(8 * t + (v ^ bit) for bit in (1, 2, 4)) for t in range(m) for v in range(8)]
+    base = 8 * m
+    triangle = [tuple(base + u for u in range(3) if u != v) for v in range(3)]
+    return tuple(tuple(sorted(nbrs)) for nbrs in cubes + triangle)
+
+
 def test_dsatur_heap_matches_scan_reference(monkeypatch, build_corpus):
     """Greedy DSATUR, every k-coloring search (k = 0..5) and the exact
     chromatic number agree exactly with the node-scan selection, also
@@ -599,6 +652,21 @@ def test_dsatur_heap_matches_scan_reference(monkeypatch, build_corpus):
     assert len(duals) == 24 and max(map(len, duals)) == 48
     for g in duals:
         assert exact_chromatic(g, node_limit=48) == _ref_exact_chromatic(g), g
+    g = cubes_and_triangle(8)
+    assert exact_chromatic(g, node_limit=len(g)) == _ref_exact_chromatic(g)
+
+
+def test_exact_chromatic_searches_components_apart():
+    """A failing search does not backtrack through other components: on 18
+    cube graphs and a triangle (147 nodes) the 2-coloring search fails
+    only on the triangle, well within a 2 s budget."""
+    g = cubes_and_triangle(18)
+    t0 = time.perf_counter()
+    res = exact_chromatic(g, node_limit=len(g))
+    elapsed = time.perf_counter() - t0
+    assert res.chromatic_number == 3 and elapsed < 2.0, elapsed
+    assert all(res.optimal_coloring.colors[v] != res.optimal_coloring.colors[w]
+               for v, nbrs in enumerate(g) for w in nbrs)
 
 
 def test_dsatur_pick_matches_scan_under_undo():

@@ -269,12 +269,14 @@ class TestAnalyzeKd1:
         assert not rep.halfspace_condition_ok
 
     def test_not_a_clique_rejected(self):
+        # The cube's six tetrahedra form a ring in the dual graph, so no
+        # four of them are pairwise glued.
         c = freudenthal_unit_cube()
         g = build_dual(c)
-        non_adjacent = [0, 1, 3]
-        if _pairwise_adjacent(g, non_adjacent):
-            non_adjacent = [0, 2, 4]
-        with pytest.raises(InputError):
+        non_adjacent = [0, 1, 2, 3]
+        assert not _pairwise_adjacent(g, non_adjacent)
+        with pytest.raises(InputError, match=r"^simplices 0 and 3 do not share a facet; "
+                                             r"input is not a clique$"):
             analyze_max_clique_configuration(c, non_adjacent)
 
     def test_wrong_size_rejected(self):

@@ -253,6 +253,22 @@ class TestSupportingHyperplane:
         with pytest.raises(InputError):
             supporting_hyperplane([(0, 0)], [])
 
+    @pytest.mark.parametrize("face, cloud, message", [
+        ([], square_corners(), "supporting_hyperplane needs at least one face vertex"),
+        ([(0, 0)], [(0, 0), (1, 0, 0)], "mixed dimensions in supporting_hyperplane input"),
+        ([(0, 0, 0)], square_corners(), "mixed dimensions in supporting_hyperplane input"),
+    ], ids=["empty-face", "mixed-cloud", "mixed-face"])
+    def test_refusal_messages(self, face, cloud, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            supporting_hyperplane(face, cloud)
+
+    def test_face_spanning_the_space_is_not_on_the_boundary(self):
+        # d + 1 affinely independent face points span the whole space, so no
+        # hyperplane passes through all of them.
+        assert supporting_hyperplane(square_corners()[:3], square_corners()) is None
+        cloud = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert supporting_hyperplane(cloud, cloud) is None
+
     def test_edges_of_point_set_match_brute_force(self):
         # Convex position plus interior points; every candidate pair checked
         # against the brute-force hull-edge enumeration.
