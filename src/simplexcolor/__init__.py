@@ -39,13 +39,6 @@ from .errors import (
     UnrealizableComplexError,
 )
 from .generators import GeneratorSpec, KINDS, generate
-from .geometry import (
-    Hyperplane,
-    extreme_point,
-    orientation,
-    side_of,
-    supporting_hyperplane,
-)
 from .model import (
     Coloring,
     Complex,
@@ -72,7 +65,6 @@ __all__ = [
     "Facet",
     "GeneratorSpec",
     "GraphStats",
-    "Hyperplane",
     "InputError",
     "InvariantError",
     "KINDS",
@@ -88,22 +80,18 @@ __all__ = [
     "build_dual",
     "color",
     "exact_chromatic",
-    "extreme_point",
     "find_all_cliques",
     "find_clique",
     "generate",
     "load",
     "load_certificate",
     "load_coloring",
-    "orientation",
     "peel",
     "render_svg",
     "save",
     "save_certificate",
     "save_coloring",
-    "side_of",
     "stats",
-    "supporting_hyperplane",
     "validate",
     "verify_coloring",
 ]

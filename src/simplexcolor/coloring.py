@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .dual import _components, build_dual
-from .errors import InputError, InvariantError, UnrealizableComplexError
+from .errors import InputError, InvariantError, UnrealizableComplexError, shorten
 from .geometry import _is_int, extreme_point, hull_normal
 from .model import (Coloring, Complex, Facet, _all_ints, _check_length, _naming, _read_json,
                     _write_json)
@@ -71,7 +71,11 @@ def certificate_from_dict(data: dict) -> PeelCertificate:
         for step in steps
     ):
         raise InputError("certificate 'steps' must be [simplex, [facet vertex ids]] integer pairs")
-    return PeelCertificate(tuple((i, Facet(tuple(ids))) for i, ids in steps), data["method"])
+    method = data["method"]
+    if method not in (COMBINATORIAL, GEOMETRIC):
+        raise InputError(f"certificate 'method' must be {COMBINATORIAL!r} or {GEOMETRIC!r}, "
+                         f"got {shorten(repr(method))}")
+    return PeelCertificate(tuple((i, Facet(tuple(ids))) for i, ids in steps), method)
 
 
 def save_certificate(cert: PeelCertificate, path: str) -> None:

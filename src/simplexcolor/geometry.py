@@ -21,7 +21,9 @@ the normal comes from d+1 cofactor minors, and one signed dot product per
 cloud row decides.  Smaller or affinely dependent faces are projected off
 their own directions (`_quotient`) into fraction-free linear feasibility,
 `_cone_nonzero`, which strict validation (`model._interiors_overlap`) also
-asks for hyperplanes that separate two simplices, in any dimension.
+asks for hyperplanes that separate two simplices, in any dimension.  It
+asks for a nonzero point of a cone {y : z·y <= 0} as one feasibility
+problem: the cone normalised by the one extra row (sum of the z)·y <= -1.
 `orientation`, `side_of`, `extreme_point` and `supporting_hyperplane` are
 thin wrappers that check and take points as coordinate sequences, in any
 form `rational` reads, and normalise them as `Complex` does.
@@ -194,7 +196,7 @@ def extreme_point(cloud: list[Vec]) -> int:
 # respect to the hyperplane h, scaled by q.  Every step below scales rows,
 # columns and solutions by positive integers only, so each one picks the
 # same rational solution that the same method run over rationals would.
-# Linear systems here have at most d unknowns, so the worst-case O(n^m)
+# Linear systems here have at most d+1 unknowns, so the worst-case O(n^m)
 # behaviour of the incremental feasibility method is irrelevant.
 
 
@@ -362,9 +364,11 @@ def _feasible_point(rows, rhs, m: int):
 def _cone_nonzero(zs, m: int):
     """Nonzero y with z . y <= 0 for every z in zs, or None.
 
-    The feasible set is a polyhedral cone, so y can be scaled; a nonzero
-    solution exists iff one of the 2m slices {y_i = +-1} is feasible.
-    A rank drop gives an immediate orthogonal witness.
+    A rank drop gives an immediate orthogonal witness.  Otherwise the zs
+    have full column rank, so a nonzero y in the cone has some z . y < 0
+    and so (sum of zs) . y < 0; the cone can be scaled, so one feasibility
+    problem decides: the zs with the extra row sum . y <= -1, last, which
+    no zero y satisfies.
     """
     zs = [z for z in zs if any(z)]
     if not zs:
@@ -372,14 +376,8 @@ def _cone_nonzero(zs, m: int):
     perp = _nullspace(zs, m)
     if perp:
         return perp[0]
-    for i in range(m):
-        rows = [z[:i] + z[i + 1:] for z in zs]
-        for s in (1, -1):
-            sol = _feasible_point(rows, [-s * z[i] for z in zs], m - 1)
-            if sol is not None:
-                sub_y, den = sol
-                return sub_y[:i] + (s * den,) + sub_y[i:]
-    return None
+    sol = _feasible_point(zs + [list(map(sum, zip(*zs)))], [0] * len(zs) + [-1], m)
+    return None if sol is None else sol[0]
 
 
 def supporting_hyperplane(face_vertices: list[Vec], cloud: list[Vec]):

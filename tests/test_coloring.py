@@ -313,6 +313,20 @@ def test_certificate_missing_field_named(tmp_path, data, field):
         load_certificate(str(p))
 
 
+@pytest.mark.parametrize("method", [[1, {"x": None}], 7, "bogus"])
+def test_certificate_method_refused(tmp_path, method):
+    # A real peel's steps under any method but the two peels' names.
+    c = generate(GeneratorSpec("fan", 3, 12))
+    data = certificate_to_dict(peel(c))
+    data["method"] = method
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(data))
+    message = (f"{p}: certificate 'method' must be 'combinatorial' or 'geometric', "
+               f"got {method!r}")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_certificate(str(p))
+
+
 @pytest.mark.parametrize("steps", [
     "xx", [[0]], [[0, [1, 2], 3]], [[0.5, [1, 2]]], [[True, [1, 2]]],
     [[0, [1, 2.0]]], [[0, [False, 1]]], [[0, "12"]], [[0, [2, 1]]], 7,

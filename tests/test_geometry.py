@@ -13,6 +13,7 @@ from simplexcolor.geometry import (
     MAX_DECIMAL_EXPONENT,
     Hyperplane,
     _bareiss,
+    _cone_nonzero,
     extreme_point,
     homogeneous_orientation,
     homogeneous_row,
@@ -420,7 +421,9 @@ def _ref_nullspace(rows, width):
     return basis
 
 
-def _ref_cone_nonzero(zs, m):
+def _slice_cone_nonzero(zs, m):
+    """Existence oracle for the cone kernel: the slice method it replaced,
+    one feasibility problem per slice {y_i = +-1}, 2m of them."""
     zs = [z for z in zs if any(z)]
     if not zs:
         return tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
@@ -436,13 +439,37 @@ def _ref_cone_nonzero(zs, m):
     return None
 
 
-def reference_supporting_hyperplane(face, cloud):
+def _ref_cone_nonzero(zs, m):
+    """The kernel's method in Fraction arithmetic: the cone normalised by
+    the one extra row (sum of the zs) . y <= -1, placed last."""
+    zs = [z for z in zs if any(z)]
+    if not zs:
+        return tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
+    perp = _ref_nullspace(zs, m)
+    if perp:
+        return perp[0]
+    sum_row = tuple(sum(col, Fraction(0)) for col in zip(*zs))
+    return _ref_feasible_point(zs + [sum_row], [Fraction(0)] * len(zs) + [Fraction(-1)], m)
+
+
+def _ref_primitive(v):
+    """The primitive integer vector, as Fractions, on the ray of a nonzero
+    rational vector: the one scaling of it that the kernel works with."""
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return tuple(Fraction(x // g) for x in ints)
+
+
+def reference_supporting_hyperplane(face, cloud, cone=_ref_cone_nonzero):
     """Canonical supporting hyperplane of coordinate tuples, in Fraction
-    arithmetic throughout, or None."""
+    arithmetic throughout, or None.  The one-row cone's answer depends on
+    the scale of each row, so the complement basis and the projected rows
+    are taken at the kernel's scale: primitive integer vectors."""
     d = len(cloud[0])
     base = face[0]
     directions = [tuple(a - b for a, b in zip(p, base)) for p in face[1:]]
-    complement = _ref_nullspace(directions, d)
+    complement = [_ref_primitive(v) for v in _ref_nullspace(directions, d)]
     m = len(complement)
     if m == 0:
         return None
@@ -450,9 +477,10 @@ def reference_supporting_hyperplane(face, cloud):
     for p in cloud:
         w = tuple(a - b for a, b in zip(p, base))
         z = tuple(_ref_dot(col, w) for col in complement)
+        z = _ref_primitive(z) if any(z) else z
         if z not in projected:
             projected.append(z)
-    y = _ref_cone_nonzero(projected, m)
+    y = cone(projected, m)
     if y is None:
         return None
     normal = [sum(complement[k][j] * y[k] for k in range(m)) for j in range(d)]
@@ -504,9 +532,10 @@ def _random_case(rng, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_hull_kernel_matches_fraction_reference(d):
-    """hull_normal decides exactly what the Fraction reference decides, and
-    supporting_hyperplane returns the reference's canonical hyperplane, on
-    faces of every size 1..d, dependent faces and flat clouds."""
+    """hull_normal decides exactly what the Fraction reference decides, with
+    both the slice method and the one-row cone, and supporting_hyperplane
+    returns the one-row reference's canonical hyperplane, on faces of every
+    size 1..d, dependent faces and flat clouds."""
     rng = random.Random(600 + d)
     seen = Counter()
     for _ in range(400):
@@ -516,6 +545,8 @@ def test_hull_kernel_matches_fraction_reference(d):
         face_rows = [homogeneous_row(p) for p in face]
         found = hull_normal(face_rows, rows)
         assert (found is not None) == (expected is not None), (face, cloud)
+        sliced = reference_supporting_hyperplane(face, cloud, _slice_cone_nonzero)
+        assert (found is not None) == (sliced is not None), (face, cloud)
         got = supporting_hyperplane(face, cloud)
         assert got == expected, (face, cloud)
         if found is not None:
@@ -530,6 +561,39 @@ def test_hull_kernel_matches_fraction_reference(d):
     if d > 1:
         assert {flat for _, flat, _, _ in seen} == {"full", "line", "hyperplane"}
         assert any(dep for *_, dep in seen)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_cone_kernel_matches_slice_oracle(m):
+    """`_cone_nonzero` finds a nonzero point of {y : z . y <= 0} exactly
+    when the slice method does, and every point it returns is one: random
+    sets of up to 9 rows with entries in -3..3, zero rows and rank-deficient
+    sets among them."""
+    rng = random.Random(900 + m)
+    seen = Counter()
+    for _ in range(600):
+        rank = m if m == 1 or rng.random() < 0.6 else rng.randint(1, m - 1)
+        basis = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(rank)]
+        zs = []
+        for _ in range(rng.randint(0, 9) if rank < m else rng.randint(m, 9)):
+            if rng.random() < 0.1:
+                zs.append((0,) * m)
+            elif rank < m:
+                # Rows in the span of fewer than m vectors.
+                a, b = rng.choice(basis), rng.choice(basis)
+                sa, sb = rng.choice((1, -1)), rng.choice((1, 0, -1))
+                zs.append(tuple(sa * x + sb * y for x, y in zip(a, b)))
+            else:
+                zs.append(tuple(rng.randint(-3, 3) for _ in range(m)))
+        y = _cone_nonzero(zs, m)
+        expected = _slice_cone_nonzero([tuple(map(Fraction, z)) for z in zs], m)
+        assert (y is None) == (expected is None), zs
+        if y is not None:
+            assert len(y) == m and any(y), (zs, y)
+            assert all(sum(map(operator.mul, z, y)) <= 0 for z in zs), (zs, y)
+        nonzero = [z for z in zs if any(z)]
+        seen[(y is None, bool(nonzero) and not _ref_nullspace(nonzero, m))] += 1
+    assert min(seen[(True, True)], seen[(False, True)], seen[(False, False)]) >= 15, seen
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

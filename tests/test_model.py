@@ -14,7 +14,7 @@ import simplexcolor.model as model_module
 from simplexcolor.coloring import color, peel, save_certificate
 from simplexcolor.errors import InputError
 from simplexcolor.generators import GeneratorSpec, generate
-from simplexcolor.geometry import orientation
+from simplexcolor.geometry import _feasible_point, _nullspace, orientation
 from simplexcolor.model import (
     COMBINATORIAL,
     GEOMETRIC_STRICT,
@@ -980,6 +980,67 @@ def test_strict_overlap_matches_brute_force_oracle_in_every_dimension(d, rationa
 def test_valid_4d_instances_need_no_cone_call(kind, size, cone_calls):
     assert validate(generate(GeneratorSpec(kind, 4, size)), GEOMETRIC_STRICT).ok
     assert cone_calls == []
+
+
+# ---------------------------------------------------------------------------
+# Hostile geometry: many random simplices, most pairs of them overlapping,
+# so most of strict validation's work is in the cone kernel
+
+
+def random_simplices(d, n, seed=7):
+    """n random simplices with integer vertices on [-100, 100]^d and
+    disjoint vertex ids, seeded."""
+    rng = random.Random(seed)
+    verts = [tuple(rng.randint(-100, 100) for _ in range(d)) for _ in range(n * (d + 1))]
+    simplices = tuple(Simplex(tuple(range(k * (d + 1), (k + 1) * (d + 1)))) for k in range(n))
+    return Complex(d, verts, simplices)
+
+
+def slice_cone_nonzero(zs, m):
+    """The slice method the cone kernel replaced: one feasibility problem
+    per slice {y_i = +-1}, up to 2m of them."""
+    zs = [z for z in zs if any(z)]
+    if not zs:
+        return (1,) + (0,) * (m - 1)
+    perp = _nullspace(zs, m)
+    if perp:
+        return perp[0]
+    for i in range(m):
+        rows = [z[:i] + z[i + 1:] for z in zs]
+        for s in (1, -1):
+            sol = _feasible_point(rows, [-s * z[i] for z in zs], m - 1)
+            if sol is not None:
+                sub_y, den = sol
+                return tuple(sub_y[:i]) + (s * den,) + tuple(sub_y[i:])
+    return None
+
+
+def test_random_tetrahedra_overlaps_match_fraction_sat_oracle():
+    c = random_simplices(3, 40)
+    pairs = overlap_pairs(validate(c, GEOMETRIC_STRICT))
+    assert len(pairs) > 100 and set(pairs) == oracle_pairs(c)
+
+
+@pytest.mark.parametrize("d,n", [(3, 40), (4, 25)])
+def test_random_simplices_report_matches_slice_kernel(d, n, monkeypatch):
+    c = random_simplices(d, n)
+    report = validate(c, GEOMETRIC_STRICT)
+    assert len(overlap_pairs(report)) > 50
+    calls = []
+    monkeypatch.setattr(model_module, "_cone_nonzero",
+                        lambda zs, m: calls.append(m) or slice_cone_nonzero(zs, m))
+    assert validate(Complex(d, c.vertices, c.simplices), GEOMETRIC_STRICT) == report
+    assert len(calls) > 200
+
+
+def test_200_random_tetrahedra_validate_in_budget():
+    c = random_simplices(3, 200)
+    t0 = time.perf_counter()
+    report = validate(c, GEOMETRIC_STRICT)
+    elapsed = time.perf_counter() - t0
+    assert len(overlap_pairs(report)) > 5000
+    assert elapsed < 8, elapsed
+    print(f"\nPASS 200 random tetrahedra: {len(report.issues)} issues in {elapsed:.2f}s")
 
 
 def sweep_order(c):
