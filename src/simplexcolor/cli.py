@@ -17,7 +17,7 @@ from .coloring import color, exact_chromatic, peel, save_certificate, verify_col
 from .dual import analyze_max_clique_configuration, build_dual, find_all_cliques, find_clique, stats
 from .errors import ColoringError, InputError, SimplexColorError, UnrealizableComplexError
 from .generators import KINDS, GeneratorSpec, generate
-from .model import load, load_coloring, save, save_coloring
+from .model import _write_text, load, load_coloring, save, save_coloring
 from .render import DEFAULT_PALETTE, RenderOptions, render_svg
 
 EXIT_OK = 0
@@ -168,9 +168,7 @@ def cmd_render(args) -> int:
     c = load(args.input)
     col = load_coloring(args.coloring) if args.coloring else None
     options = RenderOptions(args.width, args.height, palette, args.show_dual)
-    svg = render_svg(c, col, options)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_text(args.output, render_svg(c, col, options))
     print(f"wrote {args.output}")
     return EXIT_OK
 

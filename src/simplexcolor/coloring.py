@@ -133,13 +133,8 @@ def _descend(c: Complex, v: int, work: list[int], live: set[int],
         cloud = [rows[u] for u in {u for i in work for u in c.simplices[i].vertex_ids}]
         anchor_set = set(anchor)
 
-        hull_cache: dict[tuple[int, ...], bool] = {}
-
         def on_hull(face_ids: tuple[int, ...]) -> bool:
-            if face_ids not in hull_cache:
-                face = [rows[u] for u in face_ids]
-                hull_cache[face_ids] = hull_normal(face, cloud) is not None
-            return hull_cache[face_ids]
+            return hull_normal([rows[u] for u in face_ids], cloud) is not None
 
         # A facet containing the anchor on the hull of the working set is
         # exposed in the whole residual complex.  For inputs that are not

@@ -20,10 +20,11 @@ lies on the boundary of the cloud's convex hull.  For a face of d points
 the normal comes from d+1 cofactor minors, and one signed dot product per
 cloud row decides.  Smaller or affinely dependent faces are projected off
 their own directions (`_quotient`) into fraction-free linear feasibility,
-`_cone_nonzero`, which strict validation (`model._interiors_overlap`) also
-asks for hyperplanes that separate two simplices, in any dimension.  It
-asks for a nonzero point of a cone {y : z·y <= 0} as one feasibility
-problem: the cone normalised by the one extra row (sum of the z)·y <= -1.
+`_cone_nonzero`: a nonzero point of a cone {y : z·y <= 0}.  Its rows can
+lose rank, which is its own answer; otherwise `_cone_point` solves one
+feasibility problem, the cone normalised by the row (sum of the z)·y <= -1.
+Strict validation (`model._interiors_overlap`), whose rows have full rank,
+calls `_cone_point` directly for hyperplanes that separate two simplices.
 `orientation`, `side_of`, `extreme_point` and `supporting_hyperplane` are
 thin wrappers that check and take points as coordinate sequences, in any
 form `rational` reads, and normalise them as `Complex` does.
@@ -362,20 +363,16 @@ def _feasible_point(rows, rhs, m: int):
 
 
 def _cone_nonzero(zs, m: int):
-    """Nonzero y with z . y <= 0 for every z in zs, or None.
-
-    A rank drop gives an immediate orthogonal witness.  Otherwise the zs
-    have full column rank, so a nonzero y in the cone has some z . y < 0
-    and so (sum of zs) . y < 0; the cone can be scaled, so one feasibility
-    problem decides: the zs with the extra row sum . y <= -1, last, which
-    no zero y satisfies.
-    """
-    zs = [z for z in zs if any(z)]
-    if not zs:
-        return (1,) + (0,) * (m - 1)
+    """Nonzero y with z . y <= 0 for every z in zs, or None: a vector
+    orthogonal to every z when there is one, else `_cone_point`."""
     perp = _nullspace(zs, m)
-    if perp:
-        return perp[0]
+    return perp[0] if perp else _cone_point(zs, m)
+
+
+def _cone_point(zs, m: int):
+    """`_cone_nonzero` for zs of full column rank m.  A nonzero y in the
+    cone then has some z . y < 0, so (sum of zs) . y < 0 and a multiple of
+    y meets the extra row sum . y <= -1, placed last, which no zero y does."""
     sol = _feasible_point(zs + [list(map(sum, zip(*zs)))], [0] * len(zs) + [-1], m)
     return None if sol is None else sol[0]
 

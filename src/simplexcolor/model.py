@@ -20,7 +20,7 @@ from math import prod
 from operator import ge, lt, mul
 
 from .errors import ColoringError, InputError, shorten
-from .geometry import (_cone_nonzero, _exact, _is_int, _quotient, facet_normal,
+from .geometry import (_cone_point, _exact, _is_int, _quotient, facet_normal,
                        homogeneous_orientation, homogeneous_row, rational)
 
 COMBINATORIAL = "combinatorial"
@@ -243,10 +243,11 @@ def _interiors_overlap(a, b, d: int) -> bool:
     pair overlaps: seen along the flat of the shared vertices it is two
     cones in at most 2 dimensions, or for s = 0 two polygons (d <= 2), and
     for those the facet hyperplanes are complete.  Otherwise
-    `geometry._cone_nonzero` decides: a nonzero y with a·y <= 0 for A's rows
+    `geometry._cone_point` decides: a nonzero y with a·y <= 0 for A's rows
     and b·y >= 0 for B's is a separating hyperplane (the weights are
     positive, so its normal is not zero), and convex simplices have
-    disjoint interiors iff one exists (touching allowed).
+    disjoint interiors iff one exists (touching allowed).  A is
+    non-degenerate, so its d+1 rows alone have full rank: no rank check.
     """
     for (ids, rows, planes), (other_ids, other, _) in ((a, b), (b, a)):
         for k, v in enumerate(ids):
@@ -262,7 +263,7 @@ def _interiors_overlap(a, b, d: int) -> bool:
                 return False
     if max(len(set(a[0]).intersection(b[0])), 1) >= d - 1:
         return True
-    return _cone_nonzero(a[1] + [[-x for x in row] for row in b[1]], d + 1) is None
+    return _cone_point(a[1] + [[-x for x in row] for row in b[1]], d + 1) is None
 
 
 def _box_cells(boxes, d: int):
@@ -457,8 +458,8 @@ def validate(c: Complex, level: str = COMBINATORIAL) -> ValidationReport:
     cell.  A pair sharing s vertex ids tries as separating witnesses the
     facet hyperplanes of both simplices that contain all s shared
     vertices.  If none separates, the pair overlaps when max(s, 1) >= d - 1,
-    and otherwise the cone kernel `geometry._cone_nonzero` looks for any
-    separating hyperplane.  All of it runs in exact integer arithmetic.
+    and otherwise one feasibility problem, `geometry._cone_point`, looks
+    for any separating hyperplane.  All of it runs in exact integer arithmetic.
     """
     if level not in (COMBINATORIAL, GEOMETRIC_STRICT):
         raise InputError(f"unknown validation level {level!r}")
@@ -591,11 +592,23 @@ def _read_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8: the one writer of every output.  An
+    OSError that names no file (a full disk, seen only at close) is given
+    `path`, so the message blames the file it failed to write."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
 def _write_json(path: str, data) -> None:
-    """Compact JSON plus a newline: the one writer for complexes, colorings
-    and certificates."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, separators=(",", ":")) + "\n")
+    """Compact JSON plus a newline: the format of complexes, colorings and
+    certificates."""
+    _write_text(path, json.dumps(data, separators=(",", ":")) + "\n")
 
 
 def _parse_off_number(token: str, path: str, lineno: int) -> Fraction:
@@ -664,13 +677,10 @@ def _load_off(path: str) -> Complex:
 def _save_off(c: Complex, path: str) -> None:
     if c.dimension != 2:
         raise InputError("OFF export supports only dimension-2 complexes")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(c.vertices)} {len(c.simplices)} 0\n")
-        for p in c.vertices:
-            fh.write(f"{_coord_to_json(p[0])} {_coord_to_json(p[1])} 0\n")
-        for s in c.simplices:
-            fh.write("3 " + " ".join(str(i) for i in s.vertex_ids) + "\n")
+    lines = ["OFF", f"{len(c.vertices)} {len(c.simplices)} 0"]
+    lines += [f"{_coord_to_json(p[0])} {_coord_to_json(p[1])} 0" for p in c.vertices]
+    lines += ["3 " + " ".join(map(str, s.vertex_ids)) for s in c.simplices]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load(path: str) -> Complex:

@@ -1,8 +1,11 @@
+import errno
 import json
+import os
 import time
 
 import pytest
 
+import simplexcolor.model as model_module
 from simplexcolor import cli
 from simplexcolor.cli import main
 from simplexcolor.errors import InvariantError
@@ -365,6 +368,44 @@ class TestErrorBoundary:
         assert capsys.readouterr().err == (
             f"error: {bad}: invalid complex: facet (0, 1) shared by 3 simplices\n")
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("argv, target", [
+        (["color", "{fan}", "-o", "{tmp}/c.json"], "c.json"),
+        (["color", "{fan}", "-o", "{tmp}/c.json", "--certificate", "{tmp}/c.cert"], "c.cert"),
+        (["generate", "--kind", "fan", "--dim", "2", "--size", "3", "-o", "{tmp}/g.json"], "g.json"),
+        (["generate", "--kind", "fan", "--dim", "2", "--size", "3", "-o", "{tmp}/g.off"], "g.off"),
+        (["render", "{fan}", "-o", "{tmp}/f.svg"], "f.svg"),
+    ], ids=["coloring", "certificate", "generate", "generate-off", "render"])
+    def test_full_disk_names_the_output(self, fan_file, tmp_path, capsys, monkeypatch,
+                                        argv, target):
+        # A full disk fails at close with an OSError that names no file, as
+        # writing to /dev/full does: the message names the output, not the
+        # input, and color leaves no new file behind.
+        target = str(tmp_path / target)
+
+        class FullDisk:
+            def __enter__(self):
+                return self
+
+            def write(self, text):
+                pass
+
+            def __exit__(self, *exc):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_open(path, mode="r", **kwargs):
+            if path != target:
+                return open(path, mode, **kwargs)
+            open(path, mode, **kwargs).close()
+            return FullDisk()
+
+        monkeypatch.setattr(model_module, "open", full_open, raising=False)
+        fill = {"fan": fan_file, "tmp": str(tmp_path)}
+        before = sorted(tmp_path.iterdir())
+        assert run(*(a.format(**fill) for a in argv)) == 2
+        assert capsys.readouterr().err == f"error: {target}: No space left on device\n"
+        if argv[0] == "color":
+            assert sorted(tmp_path.iterdir()) == before
 
     def test_internal_error_exits_2(self, fan_file, tmp_path, capsys, monkeypatch):
         # A broken invariant inside the library is reported as an internal

@@ -1,10 +1,12 @@
-"""Mutated complex, OFF and coloring documents through `cli.main`.
+"""Mutated complex, OFF, coloring and certificate documents.
 
-Each example writes one input complex (JSON or OFF), optionally a
-coloring, runs one command on them, and checks the CLI's contract: the
-exit code is 0, 2, 3 or 4, no exception escapes, a non-zero exit adds no
-file, and every exit-2 or exit-3 message is one bounded line that starts
-with ``error: `` and a file named on the command line.
+Each CLI example writes one input complex (JSON or OFF), optionally a
+coloring, runs one command on them through `cli.main`, and checks the
+CLI's contract: the exit code is 0, 2, 3 or 4, no exception escapes, a
+non-zero exit adds no file, and every exit-2 or exit-3 message is one
+bounded line that starts with ``error: `` and a file named on the command
+line, or the option it refuses.  Certificate examples go through
+`load_certificate` and `color`, which may raise only `InputError`.
 """
 
 import copy
@@ -18,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexcolor.cli import main
-from simplexcolor.coloring import color, peel
+from simplexcolor.coloring import (COMBINATORIAL, GEOMETRIC, certificate_to_dict, color,
+                                   load_certificate, peel, verify_coloring)
+from simplexcolor.errors import InputError, UnrealizableComplexError
 from simplexcolor.generators import GeneratorSpec, generate
 from simplexcolor.model import complex_to_dict, save
 
@@ -30,6 +34,20 @@ SEEDS = [generate(GeneratorSpec(*spec)) for spec in (
 # boundary of a tetrahedron has no peel, and gets one color per simplex.
 COLORS = [list(color(c, peel(c)).colors) if k != len(SEEDS) - 1 else list(range(4))
           for k, c in enumerate(SEEDS)]
+
+
+def _certificates():
+    """(seed index, certificate document) for both peels of every seed
+    that has one."""
+    for k, c in enumerate(SEEDS):
+        for method in (COMBINATORIAL, GEOMETRIC):
+            try:
+                yield k, certificate_to_dict(peel(c, method))
+            except UnrealizableComplexError:
+                pass
+
+
+CERTIFICATES = list(_certificates())
 
 HOSTILE = st.one_of(
     st.integers(-2, 9),
@@ -55,6 +73,8 @@ COMMANDS = [
     (["chromatic", "{input}"], False),
     (["render", "{input}", "--show-dual", "-o", "{dir}/out.svg"], False),
     (["render", "{input}", "--coloring", "{coloring}", "-o", "{dir}/out.svg"], True),
+    (["render", "{input}", "--width", "0", "-o", "{dir}/out.svg"], False),
+    (["render", "{input}", "--height", "-1", "-o", "{dir}/out.svg"], False),
 ]
 
 
@@ -80,12 +100,17 @@ def mutate_tree(data, doc):
 
 
 def mutate_bytes(data, text):
-    """The UTF-8 bytes of `text`, sometimes cut short or spliced with bytes
-    that may not be UTF-8."""
+    """The UTF-8 bytes of `text`, sometimes cut short, spliced with bytes
+    that may not be UTF-8, or with an integer literal longer than the
+    interpreter's 4,300-digit limit, which `json.dumps` cannot write."""
     raw = text.encode()
-    action = data.draw(st.sampled_from(["keep"] * 6 + ["truncate", "splice"]))
+    action = data.draw(st.sampled_from(["keep"] * 6 + ["truncate", "splice", "long-int"]))
     if action == "keep" or not raw:
         return raw
+    if action == "long-int":  # before a digit, so that the literal grows
+        at = data.draw(st.sampled_from([i for i, b in enumerate(raw) if b in b"0123456789"]
+                                       or [0]))
+        return raw[:at] + b"1" * 4301 + raw[at:]
     at = data.draw(st.integers(0, len(raw)))
     if action == "truncate":
         return raw[:at]
@@ -148,8 +173,42 @@ def test_mutated_inputs_end_in_a_named_exit(data):
             assert sorted(os.listdir(work)) == before, (argv, code)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     message = err.getvalue()
+    refused = [a for a in argv if a in ("--width", "--height")]
+    if refused:  # the option is judged before any file is read
+        assert code == 2 and message.startswith(f"error: {refused[0]}: "), (argv, message)
     if code in (2, 3):
-        paths = [a for a in argv if a.startswith(work)]
+        paths = refused or [a for a in argv if a.startswith(work)]
         assert message.startswith("error: "), message
         assert any(message.startswith(f"error: {p}") for p in paths), (argv, message)
         assert message.count("\n") == 1 and len(message) < 400 + len(work), message
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_certificates_are_refused_by_name_or_color(data):
+    # A certificate document loads or is refused with an InputError that
+    # names its file; one that loads colors its complex validly or is
+    # refused by `color`, and no other exception escapes.
+    k, doc = data.draw(st.sampled_from(CERTIFICATES))
+    c = SEEDS[k]
+    if data.draw(st.booleans()):  # a forged order: two steps swapped
+        doc = copy.deepcopy(doc)
+        steps, n = doc["steps"], len(doc["steps"])
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        steps[i], steps[j] = steps[j], steps[i]
+    if data.draw(st.integers(0, 2)):
+        doc = mutate_tree(data, doc)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "cert.json")
+        with open(path, "wb") as fh:
+            fh.write(mutate_bytes(data, json.dumps(doc)))
+        try:
+            cert = load_certificate(path)
+        except InputError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+            return
+    try:
+        col = color(c, cert)
+    except InputError:
+        return
+    assert verify_coloring(c, col) == (True, [])

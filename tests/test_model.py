@@ -10,6 +10,7 @@ from operator import mul
 
 import pytest
 
+import simplexcolor.geometry as geometry_module
 import simplexcolor.model as model_module
 from simplexcolor.coloring import color, peel, save_certificate
 from simplexcolor.errors import InputError
@@ -834,10 +835,10 @@ def test_shared_edge_with_coplanar_apexes():
 
 @pytest.fixture
 def cone_calls(monkeypatch):
-    """The size m of every `_cone_nonzero` call that strict validation makes."""
+    """The size m of every `_cone_point` call that strict validation makes."""
     calls = []
-    cone = model_module._cone_nonzero
-    monkeypatch.setattr(model_module, "_cone_nonzero",
+    cone = model_module._cone_point
+    monkeypatch.setattr(model_module, "_cone_point",
                         lambda zs, m: calls.append(m) or cone(zs, m))
     return calls
 
@@ -1027,7 +1028,7 @@ def test_random_simplices_report_matches_slice_kernel(d, n, monkeypatch):
     report = validate(c, GEOMETRIC_STRICT)
     assert len(overlap_pairs(report)) > 50
     calls = []
-    monkeypatch.setattr(model_module, "_cone_nonzero",
+    monkeypatch.setattr(model_module, "_cone_point",
                         lambda zs, m: calls.append(m) or slice_cone_nonzero(zs, m))
     assert validate(Complex(d, c.vertices, c.simplices), GEOMETRIC_STRICT) == report
     assert len(calls) > 200
@@ -1041,6 +1042,28 @@ def test_200_random_tetrahedra_validate_in_budget():
     assert len(overlap_pairs(report)) > 5000
     assert elapsed < 8, elapsed
     print(f"\nPASS 200 random tetrahedra: {len(report.issues)} issues in {elapsed:.2f}s")
+
+
+def test_100_random_4_simplices_validate_in_budget():
+    c = random_simplices(4, 100)
+    t0 = time.perf_counter()
+    report = validate(c, GEOMETRIC_STRICT)
+    elapsed = time.perf_counter() - t0
+    assert len(report.issues) == 3022
+    assert elapsed < 8, elapsed
+    print(f"\nPASS 100 random 4-simplices: {len(report.issues)} issues in {elapsed:.2f}s")
+
+
+def test_strict_validation_checks_no_rank(monkeypatch):
+    # The rows of a pair of non-degenerate simplices have full rank, so
+    # strict validation asks the cone's LP alone, with no nullspace.
+    calls = []
+    nullspace = geometry_module._nullspace
+    monkeypatch.setattr(geometry_module, "_nullspace",
+                        lambda rows, width: calls.append(width) or nullspace(rows, width))
+    report = validate(random_simplices(3, 40), GEOMETRIC_STRICT)
+    assert len(overlap_pairs(report)) > 100
+    assert len(calls) == 0, len(calls)
 
 
 def sweep_order(c):
